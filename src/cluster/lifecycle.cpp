@@ -333,9 +333,9 @@ double ClusterLifecycle::phi(topo::Rank r, topo::Dir d) const {
 std::optional<topo::Dir> ClusterLifecycle::dir_toward(topo::Rank from,
                                                       topo::Rank to) const {
   const topo::Torus& t = cluster_.torus();
-  for (topo::Dir d : t.directions(t.coord(from))) {
-    const auto n = t.neighbor(from, d);
-    if (n && *n == to) return d;
+  for (int i = 0; i < 2 * t.ndims(); ++i) {
+    const topo::Dir d = topo::Dir::from_index(i);
+    if (t.neighbor(from, d) == to) return d;
   }
   return std::nullopt;
 }
@@ -573,20 +573,17 @@ void ClusterLifecycle::refresh_routes(topo::Rank observer) {
   bool any_deg = false;
   for (const topo::DirMask m : degraded) any_deg = any_deg || m != 0;
   via::KernelAgent& ag = cluster_.agent(observer);
+  const topo::Torus& t = cluster_.torus();
   if (!any_dead && !any_deg) {
     ag.clear_route_table();
   } else if (any_deg) {
     // Quality-aware table: among minimal paths, dodge links whose owners
-    // flooded them as degraded/black. Keyed into the shared cache by the
-    // full (dead set, degraded-mask map) identity.
-    ag.set_route_table(
-        route_cache_.get(cluster_.torus(), observer, dead, degraded));
+    // flooded them as degraded/black.
+    ag.set_route_table(t.route_table_avoiding(observer, dead, degraded));
     chk::SimLockGuard g(shared_mu_);
     score_counters_.inc("quality_route_refreshes");
   } else {
-    // Shared cache: during partition/heal storms many nodes pass through
-    // identical dead sets, and BFS route tables are the hot part.
-    ag.set_route_table(route_cache_.get(cluster_.torus(), observer, dead));
+    ag.set_route_table(t.route_table_avoiding(observer, dead));
   }
 }
 

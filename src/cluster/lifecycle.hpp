@@ -28,18 +28,19 @@
 // no death: the acks that detour back are proof of life). Mask changes are
 // flooded as versioned LinkRecords (kLinkState) so every node's route table
 // can dodge remote degraded links among minimal paths
-// (Torus::route_table_avoiding, RouteTableCache keyed by dead set + the
-// full degraded-mask map).
+// (Torus::route_table_avoiding with the full degraded-mask map).
 //
 // On a confirmed death each survivor recomputes a full BFS route table
-// around the dead coordinate (Torus::route_table_avoiding) and installs it
-// in its kernel agent, and fast-fails every VI to the dead rank so pending
-// traffic error-completes instead of burning the retransmit budget. On
-// restart the node's agent epoch has already been bumped; the rejoin
-// coroutine floods kRejoining under the new incarnation, re-runs VI
-// connection establishment with its live neighbours (fresh-epoch
-// ConnReq/Ack, sequence numbers restarting from zero), then floods kAlive —
-// at which point survivors heal their route tables.
+// around the dead coordinate (Torus::route_table_avoiding, a walk over the
+// torus's precomputed neighbour table — a few microseconds, so it reruns on
+// every refresh and nothing is memoized) and installs it in its kernel
+// agent, and fast-fails every VI to the dead rank so pending traffic
+// error-completes instead of burning the retransmit budget. On restart the
+// node's agent epoch has already been bumped; the rejoin coroutine floods
+// kRejoining under the new incarnation, re-runs VI connection establishment
+// with its live neighbours (fresh-epoch ConnReq/Ack, sequence numbers
+// restarting from zero), then floods kAlive — at which point survivors heal
+// their route tables.
 //
 // Detection and rejoin latencies (crash/restart sim-time to each survivor's
 // view transition) are recorded into obs histograms and therefore appear in
@@ -73,7 +74,6 @@
 #include "obs/metrics.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
-#include "topo/route_cache.hpp"
 #include "via/vi.hpp"
 
 namespace meshmp::cluster {
@@ -292,7 +292,6 @@ class ClusterLifecycle {
   sim::Time heal_start_ MESHMP_GUARDED_BY(shared_mu_) = -1;
   std::vector<bool> heal_pending_ MESHMP_GUARDED_BY(shared_mu_);
   int heal_remaining_ MESHMP_GUARDED_BY(shared_mu_) = 0;
-  topo::RouteTableCache route_cache_;  ///< shared across nodes by dead-set
   /// "cluster.partition.*" — inc'd under shared_mu_; the registry reads it
   /// from the host between runs, so the accessor stays lock-free.
   obs::Counters counters_;

@@ -11,12 +11,15 @@
 //    steady-state scheduling performs zero heap allocations.
 //
 //  - LadderQueue: a calendar/ladder queue over the same strict (when, seq)
-//    order as the old heap. Near-future events live in a small binary heap
+//    order as the old heap. Near-future events live in a binary heap
 //    ("bottom"); mid-range events are spread across kRungs buckets of equal
 //    width; far-future events sit on an unsorted overflow list that is
 //    re-spread (reseeded) across fresh buckets when the current rung ladder
-//    drains. Push and pop are amortized O(1) because the bottom heap only
-//    ever holds one bucket's worth of events plus stragglers.
+//    drains. Rung and overflow work is O(1) amortized per event, but push
+//    and pop cost O(log b), where b is the number of events inside the
+//    current bucket's window: most events are scheduled well under one
+//    bucket width ahead, so nearly every push lands in the bottom heap and
+//    b runs to hundreds or thousands on cluster workloads.
 //
 // Ordering invariants (what makes dispatch order — and therefore the FNV
 // determinism digest — byte-identical to the old heap):

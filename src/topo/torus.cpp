@@ -4,9 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdlib>
-#include <queue>
 #include <stdexcept>
-#include <tuple>
 
 namespace meshmp::topo {
 
@@ -20,6 +18,15 @@ Torus::Torus(Coord shape, bool wrap) : shape_(shape), wrap_(wrap) {
     n *= shape[d];
   }
   size_ = static_cast<Rank>(n);
+  nbr_.assign(row(size_), -1);
+  for (Rank r = 0; r < size_; ++r) {
+    const Coord c = coord(r);
+    for (int i = 0; i < 2 * ndims(); ++i) {
+      if (const auto nc = neighbor(c, Dir::from_index(i))) {
+        nbr_[row(r) + static_cast<std::size_t>(i)] = rank(*nc);
+      }
+    }
+  }
 }
 
 int Torus::ports() const noexcept {
@@ -62,12 +69,6 @@ std::optional<Coord> Torus::neighbor(const Coord& c, Dir dir) const {
   }
   n[dir.dim] = x;
   return n;
-}
-
-std::optional<Rank> Torus::neighbor(Rank r, Dir dir) const {
-  auto n = neighbor(coord(r), dir);
-  if (!n) return std::nullopt;
-  return rank(*n);
 }
 
 int Torus::delta(const Coord& from, const Coord& to, int dim) const {
@@ -211,35 +212,27 @@ std::vector<Dir> Torus::route_via(const Coord& from, const Coord& to,
 std::vector<std::int8_t> Torus::route_table_avoiding(
     Rank src, const std::vector<bool>& dead) const {
   assert(static_cast<Rank>(dead.size()) == size_);
+  const int ndirs = 2 * ndims();
   std::vector<std::int8_t> first(static_cast<std::size_t>(size_), -1);
-  std::vector<bool> seen(static_cast<std::size_t>(size_), false);
-  seen[static_cast<std::size_t>(src)] = true;
   std::vector<Rank> queue;
   queue.reserve(static_cast<std::size_t>(size_));
-  for (Dir d : directions(coord(src))) {
-    auto n = neighbor(src, d);
-    if (!n || seen[static_cast<std::size_t>(*n)] ||
-        dead[static_cast<std::size_t>(*n)]) {
-      continue;
-    }
-    seen[static_cast<std::size_t>(*n)] = true;
-    first[static_cast<std::size_t>(*n)] = static_cast<std::int8_t>(d.index());
-    queue.push_back(*n);
-  }
+  queue.push_back(src);
   for (std::size_t head = 0; head < queue.size(); ++head) {
     const Rank cur = queue[head];
-    for (Dir d : directions(coord(cur))) {
-      auto n = neighbor(cur, d);
-      if (!n || seen[static_cast<std::size_t>(*n)] ||
-          dead[static_cast<std::size_t>(*n)]) {
+    const Rank* nbrs = &nbr_[row(cur)];
+    for (int i = 0; i < ndirs; ++i) {
+      const Rank nb = nbrs[i];
+      // Seen means src itself or a rank that already has a first hop.
+      if (nb < 0 || nb == src || first[static_cast<std::size_t>(nb)] >= 0 ||
+          dead[static_cast<std::size_t>(nb)]) {
         continue;
       }
-      seen[static_cast<std::size_t>(*n)] = true;
       // The first hop toward a node is the first hop toward whichever live
       // node discovered it.
-      first[static_cast<std::size_t>(*n)] =
-          first[static_cast<std::size_t>(cur)];
-      queue.push_back(*n);
+      first[static_cast<std::size_t>(nb)] =
+          cur == src ? static_cast<std::int8_t>(i)
+                     : first[static_cast<std::size_t>(cur)];
+      queue.push_back(nb);
     }
   }
   return first;
@@ -257,44 +250,65 @@ std::vector<std::int8_t> Torus::route_table_avoiding(
 
   // Lexicographic shortest path on (hops, degraded links crossed): every
   // destination keeps its minimal hop count, and among equal-hop paths the
-  // one using the fewest degraded egresses wins. The tie-break is discovery
-  // order (a monotone insertion sequence), which reduces to plain BFS FIFO
-  // order when no costs differ, so the table is deterministic.
+  // one using the fewest degraded egresses wins; ties go to the earliest
+  // discovery, which reduces to plain BFS FIFO order when no costs differ,
+  // so the table is deterministic. Every link is one hop, so the search
+  // settles one BFS layer at a time: a layer's ranks expand in (crossings,
+  // discovery) order, and each only ever improves ranks of the next layer.
   constexpr int kInf = 1 << 20;
-  std::vector<int> hops(static_cast<std::size_t>(size_), kInf);
-  std::vector<int> degs(static_cast<std::size_t>(size_), kInf);
-  std::vector<std::int8_t> first(static_cast<std::size_t>(size_), -1);
-  using Item = std::tuple<int, int, std::uint32_t, Rank>;  // hops, deg, seq
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-  std::uint32_t seq = 0;
-  hops[static_cast<std::size_t>(src)] = 0;
-  degs[static_cast<std::size_t>(src)] = 0;
-  pq.emplace(0, 0, seq++, src);
-  while (!pq.empty()) {
-    const auto [h, g, s, cur] = pq.top();
-    pq.pop();
-    if (h != hops[static_cast<std::size_t>(cur)] ||
-        g != degs[static_cast<std::size_t>(cur)]) {
-      continue;  // stale queue entry, a better path already settled
-    }
-    for (Dir d : directions(coord(cur))) {
-      auto n = neighbor(cur, d);
-      if (!n || dead[static_cast<std::size_t>(*n)]) continue;
-      const int nh = h + 1;
-      const int ng =
-          g + ((degraded[static_cast<std::size_t>(cur)] & dir_bit(d)) ? 1 : 0);
-      auto& bh = hops[static_cast<std::size_t>(*n)];
-      auto& bg = degs[static_cast<std::size_t>(*n)];
-      if (nh > bh || (nh == bh && ng >= bg)) continue;  // strict improvement
-      bh = nh;
-      bg = ng;
-      first[static_cast<std::size_t>(*n)] =
-          cur == src ? static_cast<std::int8_t>(d.index())
-                     : first[static_cast<std::size_t>(cur)];
-      pq.emplace(nh, ng, seq++, *n);
-    }
+  const int ndirs = 2 * ndims();
+  // Per rank, the best (hops, crossings) found so far. Dead ranks start at
+  // (0, 0) like src, which no path improves on, so they are never entered.
+  std::vector<std::pair<int, int>> best(static_cast<std::size_t>(size_),
+                                        {kInf, kInf});
+  for (std::size_t r = 0; r < best.size(); ++r) {
+    if (dead[r]) best[r] = {0, 0};
   }
-  first[static_cast<std::size_t>(src)] = -1;
+  std::vector<std::int8_t> first(static_cast<std::size_t>(size_), -1);
+  // Every discovery or improvement in order, layer after layer; an entry
+  // whose crossings no longer match its rank's best was superseded. Ranks
+  // expand once and relax each of their links once, which bounds its size.
+  struct Entry {
+    int deg;
+    Rank rank;
+  };
+  std::vector<Entry> found;
+  found.reserve(row(size_) + 1);
+  found.push_back({0, src});
+  best[static_cast<std::size_t>(src)] = {0, 0};
+  std::size_t begin = 0;  // the current layer is found[begin, end)
+  int lo = 0;             // and its entries' crossings lie in [lo, hi]
+  int hi = 0;
+  for (int h = 1; begin < found.size(); ++h) {
+    const std::size_t end = found.size();
+    int next_lo = kInf;
+    int next_hi = -1;
+    for (int g = lo; g <= hi; ++g) {
+      for (std::size_t k = begin; k < end; ++k) {
+        const Entry e = found[k];  // copied: found grows below
+        const auto cur = static_cast<std::size_t>(e.rank);
+        if (e.deg != g || best[cur].second != g) continue;
+        const Rank* nbrs = &nbr_[row(e.rank)];
+        for (int i = 0; i < ndirs; ++i) {
+          const Rank nb = nbrs[i];
+          if (nb < 0) continue;
+          const std::pair<int, int> cand{
+              h, g + static_cast<int>((degraded[cur] >> i) & 1u)};
+          auto& b = best[static_cast<std::size_t>(nb)];
+          if (cand >= b) continue;  // strict improvement only
+          b = cand;
+          first[static_cast<std::size_t>(nb)] =
+              e.rank == src ? static_cast<std::int8_t>(i) : first[cur];
+          found.push_back({cand.second, nb});
+          next_lo = std::min(next_lo, cand.second);
+          next_hi = std::max(next_hi, cand.second);
+        }
+      }
+    }
+    begin = end;
+    lo = next_lo;
+    hi = next_hi;
+  }
   return first;
 }
 

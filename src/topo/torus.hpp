@@ -4,6 +4,8 @@
 // distances, and the Shortest-Direction-First (SDF) next-hop rule used by the
 // modified M-VIA's kernel packet switching (paper section 4, 5.1).
 
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -44,7 +46,16 @@ class Torus {
   /// Neighbour one step along `dir`, or nullopt at a non-wrapping edge or
   /// along a dimension of extent 1.
   [[nodiscard]] std::optional<Coord> neighbor(const Coord& c, Dir dir) const;
-  [[nodiscard]] std::optional<Rank> neighbor(Rank r, Dir dir) const;
+  /// Rank form of the above: one lookup in the neighbour table. Also
+  /// nullopt for a direction along a dimension the torus does not have, so
+  /// schedule validation can ask about any (rank, dir) pair.
+  [[nodiscard]] std::optional<Rank> neighbor(Rank r, Dir dir) const {
+    assert(r >= 0 && r < size_);
+    if (dir.dim < 0 || dir.dim >= ndims()) return std::nullopt;
+    const Rank n = nbr_[row(r) + static_cast<std::size_t>(dir.index())];
+    if (n < 0) return std::nullopt;
+    return n;
+  }
 
   /// Signed minimal displacement from `from` to `to` along `dim`; with
   /// wraparound this lies in [-extent/2, +extent/2].
@@ -102,6 +113,8 @@ class Torus {
   /// the failures disconnect. Deterministic: ranks are expanded in BFS
   /// order and directions in lowest-dimension, positive-sign-first order,
   /// so every survivor computes the same table for the same dead set.
+  /// Expansion walks the neighbour table, so the only allocations are the
+  /// returned table and the queue, each sized once to the torus.
   [[nodiscard]] std::vector<std::int8_t> route_table_avoiding(
       Rank src, const std::vector<bool>& dead) const;
 
@@ -127,9 +140,18 @@ class Torus {
       int dim, int cut) const;
 
  private:
+  /// Offset of rank r's row in nbr_.
+  [[nodiscard]] std::size_t row(Rank r) const noexcept {
+    return static_cast<std::size_t>(r) * static_cast<std::size_t>(2 * ndims());
+  }
+
   Coord shape_;
   bool wrap_;
   Rank size_;
+  /// Neighbour table, built once by the constructor: rank r's row holds,
+  /// per Dir::index(), the rank one step that way, or -1 where
+  /// neighbor(Coord, Dir) has none.
+  std::vector<Rank> nbr_;
 };
 
 }  // namespace meshmp::topo

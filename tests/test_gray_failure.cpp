@@ -24,7 +24,6 @@
 #include "net/quality.hpp"
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
-#include "topo/route_cache.hpp"
 #include "topo/torus.hpp"
 #include "via/agent.hpp"
 
@@ -187,26 +186,6 @@ TEST(FltGrayRoute, AvoidsDegradedEgressWithoutLengtheningRoutes) {
   const std::vector<topo::DirMask> zeros(static_cast<std::size_t>(t.size()),
                                          0);
   EXPECT_EQ(t.route_table_avoiding(src, dead, zeros), plain);
-}
-
-TEST(FltGrayRoute, CacheKeysOnDegradedSetDigest) {
-  const topo::Torus t(topo::Coord{4, 4});
-  const std::vector<bool> dead(static_cast<std::size_t>(t.size()), false);
-  std::vector<topo::DirMask> degA(static_cast<std::size_t>(t.size()), 0);
-  std::vector<topo::DirMask> degB(static_cast<std::size_t>(t.size()), 0);
-  const topo::Rank src = t.rank(topo::Coord{0, 0});
-  degA[static_cast<std::size_t>(src)] = topo::dir_bit(kPlusX);
-  degB[static_cast<std::size_t>(src)] = topo::dir_bit(topo::Dir{1, +1});
-
-  topo::RouteTableCache cache;
-  const auto a1 = cache.get(t, src, dead, degA);
-  const auto b = cache.get(t, src, dead, degB);
-  const auto a2 = cache.get(t, src, dead, degA);
-  // A score change (different degraded set) must never be served the
-  // other set's table; the same set must round-trip identically.
-  EXPECT_NE(a1, b);
-  EXPECT_EQ(a1, a2);
-  EXPECT_EQ(a1, t.route_table_avoiding(src, dead, degA));
 }
 
 // --- phi boundary + asymmetric sever ---------------------------------------

@@ -3,9 +3,8 @@
 // strict-majority quorum rule and split-brain-safe membership (minority
 // fail-fast, primary keeps serving), quorum-gated collectives, the healing
 // reconciliation wave (epoch-bumping VI flush, death retraction, flooded
-// view merge), the shared route-table cache, and simultaneous
-// victim+informant crashes — all byte-identical under the run-twice
-// determinism harness.
+// view merge), and simultaneous victim+informant crashes — all
+// byte-identical under the run-twice determinism harness.
 
 #include <gtest/gtest.h>
 
@@ -31,7 +30,6 @@
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
-#include "topo/route_cache.hpp"
 #include "topo/torus.hpp"
 
 namespace {
@@ -205,29 +203,6 @@ TEST(TopoBisection, RejectsDegenerateCuts) {
   EXPECT_THROW((void)t.bisection_links(0, 0), std::invalid_argument);
   EXPECT_THROW((void)t.bisection_links(0, 4), std::invalid_argument);
   EXPECT_THROW((void)t.bisection_links(2, 1), std::invalid_argument);
-}
-
-// --- route-table cache (keyed by dead-set digest) ---------------------------
-
-TEST(TopoRouteCache, HitsOnRepeatedDeadSetsAndStaysCorrect) {
-  topo::Torus t(topo::Coord{4, 4});
-  topo::RouteTableCache cache;
-  std::vector<bool> dead(16, false);
-  dead[5] = true;
-  EXPECT_EQ(cache.get(t, 0, dead), t.route_table_avoiding(0, dead));
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.get(t, 0, dead), t.route_table_avoiding(0, dead));
-  EXPECT_EQ(cache.hits(), 1u);
-  dead[6] = true;  // a different set is a different entry
-  EXPECT_EQ(cache.get(t, 0, dead), t.route_table_avoiding(0, dead));
-  EXPECT_EQ(cache.misses(), 2u);
-  // Same set, different source: distinct table.
-  EXPECT_EQ(cache.get(t, 3, dead), t.route_table_avoiding(3, dead));
-  EXPECT_EQ(cache.misses(), 3u);
-  EXPECT_EQ(cache.size(), 3u);
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
 }
 
 // --- quorum rule ------------------------------------------------------------

@@ -4,9 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <numeric>
+#include <optional>
+#include <queue>
 #include <set>
+#include <tuple>
+#include <vector>
 
+#include "sim/rng.hpp"
 #include "topo/coords.hpp"
 #include "topo/partition.hpp"
 #include "topo/switched.hpp"
@@ -200,6 +207,167 @@ TEST(Torus, RouteViaForcesFirstHop) {
     EXPECT_EQ(cur, to);
   }
 }
+
+// --- Route tables vs the coordinate-arithmetic reference -----------------
+
+// The route-table BFS as it was before Torus grew its neighbour table: every
+// expansion derives directions and neighbours from coordinates. Kept as the
+// oracle the table-driven BFS must reproduce byte for byte.
+std::optional<Rank> ref_neighbor(const Torus& t, Rank r, Dir d) {
+  const auto n = t.neighbor(t.coord(r), d);
+  if (!n) return std::nullopt;
+  return t.rank(*n);
+}
+
+std::vector<std::int8_t> ref_route_table(const Torus& t, Rank src,
+                                         const std::vector<bool>& dead) {
+  std::vector<std::int8_t> first(static_cast<std::size_t>(t.size()), -1);
+  std::vector<bool> seen(static_cast<std::size_t>(t.size()), false);
+  seen[static_cast<std::size_t>(src)] = true;
+  std::vector<Rank> queue;
+  for (Dir d : t.directions(t.coord(src))) {
+    auto n = ref_neighbor(t, src, d);
+    if (!n || seen[static_cast<std::size_t>(*n)] ||
+        dead[static_cast<std::size_t>(*n)]) {
+      continue;
+    }
+    seen[static_cast<std::size_t>(*n)] = true;
+    first[static_cast<std::size_t>(*n)] = static_cast<std::int8_t>(d.index());
+    queue.push_back(*n);
+  }
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const Rank cur = queue[head];
+    for (Dir d : t.directions(t.coord(cur))) {
+      auto n = ref_neighbor(t, cur, d);
+      if (!n || seen[static_cast<std::size_t>(*n)] ||
+          dead[static_cast<std::size_t>(*n)]) {
+        continue;
+      }
+      seen[static_cast<std::size_t>(*n)] = true;
+      first[static_cast<std::size_t>(*n)] =
+          first[static_cast<std::size_t>(cur)];
+      queue.push_back(*n);
+    }
+  }
+  return first;
+}
+
+std::vector<std::int8_t> ref_route_table(
+    const Torus& t, Rank src, const std::vector<bool>& dead,
+    const std::vector<DirMask>& degraded) {
+  if (std::all_of(degraded.begin(), degraded.end(),
+                  [](DirMask m) { return m == 0; })) {
+    return ref_route_table(t, src, dead);
+  }
+  constexpr int kInf = 1 << 20;
+  const auto n = static_cast<std::size_t>(t.size());
+  std::vector<int> hops(n, kInf);
+  std::vector<int> degs(n, kInf);
+  std::vector<std::int8_t> first(n, -1);
+  using Item = std::tuple<int, int, std::uint32_t, Rank>;  // hops, deg, seq
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
+  std::uint32_t seq = 0;
+  hops[static_cast<std::size_t>(src)] = 0;
+  degs[static_cast<std::size_t>(src)] = 0;
+  pq.emplace(0, 0, seq++, src);
+  while (!pq.empty()) {
+    const auto [h, g, s, cur] = pq.top();
+    pq.pop();
+    if (h != hops[static_cast<std::size_t>(cur)] ||
+        g != degs[static_cast<std::size_t>(cur)]) {
+      continue;
+    }
+    for (Dir d : t.directions(t.coord(cur))) {
+      auto nb = ref_neighbor(t, cur, d);
+      if (!nb || dead[static_cast<std::size_t>(*nb)]) continue;
+      const int nh = h + 1;
+      const int ng =
+          g + ((degraded[static_cast<std::size_t>(cur)] & dir_bit(d)) ? 1 : 0);
+      auto& bh = hops[static_cast<std::size_t>(*nb)];
+      auto& bg = degs[static_cast<std::size_t>(*nb)];
+      if (nh > bh || (nh == bh && ng >= bg)) continue;
+      bh = nh;
+      bg = ng;
+      first[static_cast<std::size_t>(*nb)] =
+          cur == src ? static_cast<std::int8_t>(d.index())
+                     : first[static_cast<std::size_t>(cur)];
+      pq.emplace(nh, ng, seq++, *nb);
+    }
+  }
+  first[static_cast<std::size_t>(src)] = -1;
+  return first;
+}
+
+// Wrapped and unwrapped, 1-D to 4-D, with extent-1 and extent-2 dimensions
+// (no links, and both directions reaching the same neighbour).
+class RouteTableSweep
+    : public ::testing::TestWithParam<std::tuple<Coord, bool>> {
+ protected:
+  [[nodiscard]] Torus torus() const {
+    return Torus(std::get<0>(GetParam()), std::get<1>(GetParam()));
+  }
+};
+
+TEST_P(RouteTableSweep, NeighborRankFormMatchesCoordinateForm) {
+  const Torus t = torus();
+  for (Rank r = 0; r < t.size(); ++r) {
+    for (int i = 0; i < 2 * t.ndims(); ++i) {
+      const Dir d = Dir::from_index(i);
+      EXPECT_EQ(t.neighbor(r, d), ref_neighbor(t, r, d))
+          << "rank " << r << " dir " << d.str();
+    }
+    for (int i = 2 * t.ndims(); i < 2 * kMaxDims; ++i) {
+      EXPECT_FALSE(t.neighbor(r, Dir::from_index(i))) << "dim out of range";
+    }
+  }
+}
+
+// Property: on random dead sets, degraded-link maps and sources, both
+// route_table_avoiding forms equal the reference tables exactly — same
+// first hops, same unreachable ranks, same tie-breaks.
+TEST_P(RouteTableSweep, BfsMatchesCoordinateReferenceOnRandomFailures) {
+  const Torus t = torus();
+  const auto n = static_cast<std::size_t>(t.size());
+  meshmp::sim::Rng rng(n * 2 + std::get<1>(GetParam()));
+  for (int trial = 0; trial < 430; ++trial) {
+    // From no failures up to half the machine dead, so both sparse detours
+    // and disconnected remnants occur; likewise from no degraded links (the
+    // plain-table path) up to a third of them.
+    const double p_dead = trial % 4 == 0 ? 0.0 : 0.5 * rng.uniform01();
+    const double p_deg = trial % 3 == 0 ? 0.0 : rng.uniform01() / 3;
+    std::vector<bool> dead(n, false);
+    std::vector<DirMask> degraded(n, 0);
+    for (std::size_t r = 0; r < n; ++r) {
+      dead[r] = rng.bernoulli(p_dead);
+      for (int i = 0; i < 2 * t.ndims(); ++i) {
+        if (rng.bernoulli(p_deg)) degraded[r] |= DirMask{1} << i;
+      }
+    }
+    const auto src = static_cast<Rank>(rng.below(n));
+    ASSERT_EQ(t.route_table_avoiding(src, dead), ref_route_table(t, src, dead))
+        << "trial " << trial << " src " << src;
+    ASSERT_EQ(t.route_table_avoiding(src, dead, degraded),
+              ref_route_table(t, src, dead, degraded))
+        << "trial " << trial << " src " << src;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, RouteTableSweep,
+    ::testing::Combine(::testing::Values(Coord{4, 4, 6}, Coord{4, 8, 8},
+                                         Coord{2, 4, 4}, Coord{1, 4, 3},
+                                         Coord{8}, Coord{6, 6},
+                                         Coord{2, 3, 4, 2}),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      const Coord& shape = std::get<0>(info.param);
+      std::string name;
+      for (int d = 0; d < shape.ndims(); ++d) {
+        if (d) name += "x";
+        name += std::to_string(shape[d]);
+      }
+      return name + (std::get<1>(info.param) ? "_torus" : "_mesh");
+    });
 
 // --- Region partition -----------------------------------------------------
 
