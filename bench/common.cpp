@@ -105,6 +105,14 @@ BenchReport::~BenchReport() {
   host_counters.inc("windows", static_cast<std::int64_t>(es.windows));
   host_counters.inc("parallel_windows",
                     static_cast<std::int64_t>(es.parallel_windows));
+  // Event-queue work counts: how many pushes took an O(1) FIFO lane versus
+  // the fallback heap, and how many lane events were evicted into it.
+  host_counters.inc("queue_lane_pushes",
+                    static_cast<std::int64_t>(es.queue_lane_pushes));
+  host_counters.inc("queue_fallback_pushes",
+                    static_cast<std::int64_t>(es.queue_fallback_pushes));
+  host_counters.inc("queue_evictions",
+                    static_cast<std::int64_t>(es.queue_evictions));
   const auto host_reg =
       obs::Registry::instance().attach("host.engine", &host_counters);
   const std::string metrics = obs::Registry::instance().snapshot().to_json(2);

@@ -1,14 +1,20 @@
-// Engine hot-path microbenchmark: raw events/sec through the ladder queue,
+// Engine hot-path microbenchmark: raw events/sec through the lane queue,
 // InlineFn dispatch, and the pooled event arena, with a process-wide heap
 // counter proving the steady state performs ZERO per-event allocations.
 //
-// Three mixes stress different queue shapes:
-//  * churn   — W self-rescheduling events with pseudo-random offsets: pushes
-//              land across rungs, pops drain buckets, reseeds happen.
-//  * timers  — K fixed-period timers: the classic calendar-queue best case,
-//              all pushes land near the bottom.
+// Four mixes stress different queue shapes:
+//  * churn   — W self-rescheduling events with pseudo-random offsets: nearly
+//              every delay is new, so pushes claim or evict one-event lanes
+//              and evicted events pop from the fallback heap (the lane
+//              queue's worst case).
+//  * timers  — K fixed-period timers: a handful of recurring delays, every
+//              push appends to its delay's lane.
 //  * ring    — a token ring of coroutines waking each other through
-//              Engine::post: every event is a coroutine resumption.
+//              Engine::post: every event is a zero-delay resumption.
+//  * classes — the cluster workloads' measured delay shape: ~30% zero
+//              delay, ~2% random, the rest one of a few fixed hardware
+//              costs and the heartbeat; nearly every push appends to a
+//              recurring delay's lane.
 //
 // Every mix runs twice on a fresh engine with the determinism digest on; the
 // row records digest_match so a nondeterministic engine change fails the
@@ -21,6 +27,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <ctime>
+#include <iterator>
 #include <new>
 
 #include "common.hpp"
@@ -98,17 +105,23 @@ MixResult run_mix(Harness&& setup) {
 
 // -- churn: W floating self-rescheduling events, pseudo-random offsets ------
 
-struct ChurnEvent {
+/// Self-rescheduling event that draws each next delay from `draw`.
+struct RedrawEvent {
   sim::Engine* eng;
   sim::Rng* rng;
   std::uint64_t* left;
+  sim::Duration (*draw)(sim::Rng&);
+  const char* label;
   void operator()() {
     if (*left == 0) return;
     --*left;
-    eng->schedule(static_cast<sim::Duration>(rng->below(9999) + 1),
-                  ChurnEvent{*this}, "churn");
+    eng->schedule(draw(*rng), RedrawEvent{*this}, label);
   }
 };
+
+sim::Duration churn_delay(sim::Rng& rng) {
+  return static_cast<sim::Duration>(rng.below(9999) + 1);
+}
 
 MixResult mix_churn() {
   static sim::Rng rng(42);      // static: churn state outlives setup()
@@ -117,8 +130,9 @@ MixResult mix_churn() {
   left = kWarmupEvents + kMeasuredEvents;
   return run_mix([](sim::Engine& eng) {
     for (int i = 0; i < 64; ++i) {
-      eng.schedule(static_cast<sim::Duration>(rng.below(9999) + 1),
-                   ChurnEvent{&eng, &rng, &left}, "churn");
+      eng.schedule(churn_delay(rng),
+                   RedrawEvent{&eng, &rng, &left, churn_delay, "churn"},
+                   "churn");
     }
   });
 }
@@ -143,6 +157,36 @@ MixResult mix_timers() {
     for (int i = 0; i < 256; ++i) {
       eng.schedule(100 + 37 * (i % 13), TimerEvent{&eng, &left, 100 + 37 * (i % 13)},
                    "timer");
+    }
+  });
+}
+
+// -- classes: the measured delay mix of the cluster workloads ---------------
+
+/// Push shares measured on meshbench `churn` (seed 1): ~30% zero delay,
+/// ~2% the 200 us heartbeat, ~2% random, and the rest spread evenly over
+/// the six recurring per-frame costs (300 ns cable, 400 ns VIA work, 1 us
+/// ISR entry, 12.6 us receive-interrupt delay, and two frame-size terms).
+sim::Duration class_delay(sim::Rng& rng) {
+  static constexpr sim::Duration kFixed[] = {285, 300, 400, 816, 1000, 12'600};
+  const std::uint64_t r = rng.below(100);
+  if (r < 30) return 0;
+  if (r < 32) return 200'000;
+  if (r < 34) return static_cast<sim::Duration>(rng.below(99'999) + 1);
+  return kFixed[rng.below(std::size(kFixed))];
+}
+
+MixResult mix_classes() {
+  static sim::Rng rng(7);  // static: mix state outlives setup()
+  static std::uint64_t left;
+  rng = sim::Rng(7);
+  left = kWarmupEvents + kMeasuredEvents;
+  return run_mix([](sim::Engine& eng) {
+    // 1024 in flight: the cluster workloads run 64-5,120 deep.
+    for (int i = 0; i < 1024; ++i) {
+      eng.schedule(class_delay(rng),
+                   RedrawEvent{&eng, &rng, &left, class_delay, "class"},
+                   "class");
     }
   });
 }
@@ -237,5 +281,6 @@ int main() {
   report_mix(rep, "churn", 0, mix_churn);
   report_mix(rep, "timers", 1, mix_timers);
   report_mix(rep, "ring", 2, mix_ring);
+  report_mix(rep, "classes", 3, mix_classes);
   return 0;
 }

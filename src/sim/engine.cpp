@@ -38,12 +38,20 @@ std::atomic<std::uint64_t> g_events_dispatched{0};
 std::atomic<std::uint64_t> g_queue_depth_hwm{0};
 std::atomic<std::uint64_t> g_windows{0};
 std::atomic<std::uint64_t> g_parallel_windows{0};
+std::atomic<std::uint64_t> g_queue_lane_pushes{0};
+std::atomic<std::uint64_t> g_queue_fallback_pushes{0};
+std::atomic<std::uint64_t> g_queue_evictions{0};
 
 void fold_host_stats(std::uint64_t dispatched, std::uint64_t hwm,
-                     std::uint64_t windows, std::uint64_t parallel) noexcept {
+                     std::uint64_t windows, std::uint64_t parallel,
+                     const EventQueue::Stats& q) noexcept {
   g_events_dispatched.fetch_add(dispatched, std::memory_order_relaxed);
   g_windows.fetch_add(windows, std::memory_order_relaxed);
   g_parallel_windows.fetch_add(parallel, std::memory_order_relaxed);
+  g_queue_lane_pushes.fetch_add(q.lane_pushes, std::memory_order_relaxed);
+  g_queue_fallback_pushes.fetch_add(q.fallback_pushes,
+                                    std::memory_order_relaxed);
+  g_queue_evictions.fetch_add(q.evictions, std::memory_order_relaxed);
   std::uint64_t cur = g_queue_depth_hwm.load(std::memory_order_relaxed);
   while (hwm > cur && !g_queue_depth_hwm.compare_exchange_weak(
                           cur, hwm, std::memory_order_relaxed)) {
@@ -58,6 +66,10 @@ EngineHostStats engine_host_stats() noexcept {
   s.queue_depth_hwm = g_queue_depth_hwm.load(std::memory_order_relaxed);
   s.windows = g_windows.load(std::memory_order_relaxed);
   s.parallel_windows = g_parallel_windows.load(std::memory_order_relaxed);
+  s.queue_lane_pushes = g_queue_lane_pushes.load(std::memory_order_relaxed);
+  s.queue_fallback_pushes =
+      g_queue_fallback_pushes.load(std::memory_order_relaxed);
+  s.queue_evictions = g_queue_evictions.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -66,6 +78,9 @@ void reset_engine_host_stats() noexcept {
   g_queue_depth_hwm.store(0, std::memory_order_relaxed);
   g_windows.store(0, std::memory_order_relaxed);
   g_parallel_windows.store(0, std::memory_order_relaxed);
+  g_queue_lane_pushes.store(0, std::memory_order_relaxed);
+  g_queue_fallback_pushes.store(0, std::memory_order_relaxed);
+  g_queue_evictions.store(0, std::memory_order_relaxed);
 }
 
 Engine::Engine()
@@ -78,7 +93,15 @@ Engine::Engine()
 Engine::~Engine() {
   // Join the worker team first so no thread can touch the shards below.
   team_.reset();
-  fold_host_stats(executed(), queue_depth_hwm(), windows_, parallel_windows_);
+  EventQueue::Stats q;
+  for (const auto& sp : shards_) {
+    chk::SimLockGuard g(sp->mu);
+    q.lane_pushes += sp->queue.stats().lane_pushes;
+    q.fallback_pushes += sp->queue.stats().fallback_pushes;
+    q.evictions += sp->queue.stats().evictions;
+  }
+  fold_host_stats(executed(), queue_depth_hwm(), windows_, parallel_windows_,
+                  q);
 }
 
 void Engine::partition(std::uint32_t nlps, unsigned nthreads,
@@ -291,8 +314,10 @@ bool Engine::run_until(Time t) {
     }
     dispatch(s, n);
   }
-  s.lnow = t;
-  now_ = t;
+  // Never rewind: an earlier t would reopen already-executed time to
+  // schedule_at (the windowed path clamps the same way).
+  s.lnow = std::max(s.lnow, t);
+  now_ = s.lnow;
   detail::lp_ctx() = saved;
   running_ = false;
   return pending() != 0;

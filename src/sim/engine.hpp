@@ -14,7 +14,7 @@
 // Partitioned mode (Engine::partition, used by the cluster builders when
 // MESHMP_THREADS >= 1): events are sharded across logical processes — LP 0
 // for control/host work, one LP per simulated node — each shard owning its
-// own EventArena/LadderQueue/seq-counter/clock/digest. Execution advances in
+// own EventArena/EventQueue/seq-counter/clock/digest. Execution advances in
 // lookahead windows: with T the earliest pending timestamp and L the link
 // propagation delay, every event with when < T+L can run, because the only
 // cross-LP events are wire hops (Engine::schedule_to) whose delay is >= L,
@@ -29,8 +29,9 @@
 // (when, lp, seq) order; pure node windows fan out across the worker team.
 //
 // Hot-path shape (both modes): pooled EventNodes (sim/event_queue.hpp)
-// holding a fixed-capacity sim::InlineFn, ordered by a calendar/ladder
-// queue. Steady-state scheduling performs zero heap allocations.
+// holding a fixed-capacity sim::InlineFn, ordered by per-delay FIFO lanes
+// with a fallback heap. Steady-state scheduling performs zero heap
+// allocations.
 
 #include <coroutine>
 #include <atomic>
@@ -58,6 +59,9 @@ struct EngineHostStats {
   std::uint64_t queue_depth_hwm = 0;  ///< max over all engines' high-water marks
   std::uint64_t windows = 0;           ///< lookahead windows run (partitioned)
   std::uint64_t parallel_windows = 0;  ///< windows fanned out to the team
+  std::uint64_t queue_lane_pushes = 0;      ///< pushes onto a FIFO lane
+  std::uint64_t queue_fallback_pushes = 0;  ///< pushes that found no lane
+  std::uint64_t queue_evictions = 0;  ///< lane events moved to the fallback
 };
 [[nodiscard]] EngineHostStats engine_host_stats() noexcept;
 void reset_engine_host_stats() noexcept;
@@ -135,7 +139,7 @@ class Engine {
   /// mailboxes — are empty.
   void run();
 
-  /// Runs all events with timestamp <= t, then sets now() = t.
+  /// Runs all events with timestamp <= t, then sets now() = max(now(), t).
   /// Returns true if events remain in the queue.
   bool run_until(Time t);
 
@@ -185,7 +189,7 @@ class Engine {
     mutable chk::SimLock mu;
     std::uint64_t next_seq MESHMP_GUARDED_BY(mu) = 0;
     EventArena arena MESHMP_GUARDED_BY(mu);
-    LadderQueue queue MESHMP_GUARDED_BY(mu);
+    EventQueue queue MESHMP_GUARDED_BY(mu);
     Time lnow = 0;                  ///< LP-local clock (owner-private mid-window)
     std::uint64_t executed = 0;
     std::uint64_t digest = 0;

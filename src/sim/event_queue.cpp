@@ -1,23 +1,16 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
-#include <limits>
 
 namespace meshmp::sim {
 
 namespace {
 
-/// start + width * count, saturated at the Time maximum. Timestamps are
-/// non-negative (the engine rejects scheduling in the past), so the unsigned
-/// widening below is exact.
-Time bucket_end(Time start, Time width, std::size_t count) {
-  using U = unsigned __int128;
-  const U v = static_cast<U>(static_cast<std::uint64_t>(start)) +
-              static_cast<U>(static_cast<std::uint64_t>(width)) * count;
-  constexpr U kMax = static_cast<U>(std::numeric_limits<Time>::max());
-  return v > kMax ? std::numeric_limits<Time>::max() : static_cast<Time>(v);
+/// Strict (when, seq) order between head-heap entries and event nodes.
+template <typename A, typename B>
+bool earlier(const A& a, const B& b) noexcept {
+  return a.when != b.when ? a.when < b.when : a.seq < b.seq;
 }
 
 }  // namespace
@@ -46,142 +39,159 @@ void EventArena::put(EventNode* n) noexcept {
   free_ = n;
 }
 
-// --- LadderQueue -----------------------------------------------------------
+// --- EventQueue ------------------------------------------------------------
 
-void LadderQueue::append(Bucket& b, EventNode* n) noexcept {
+void EventQueue::push(EventNode* n) {
   n->next = nullptr;
-  if (b.tail != nullptr) {
-    b.tail->next = n;
-  } else {
-    b.head = n;
-  }
-  b.tail = n;
-}
-
-void LadderQueue::push(EventNode* n) {
-  if (n->when < bottom_end_) {
-    bottom_.push_back(n);
-    std::push_heap(bottom_.begin(), bottom_.end(), FiresLater{});
-    ++size_;
-    if (size_ > hwm_) hwm_ = size_;
+  if (++size_ > hwm_) hwm_ = size_;
+  const Duration delay = n->when - last_;
+  if (delay <= 0) {
+    if (delay == 0 && (now_.tail == nullptr || earlier(*now_.tail, *n))) {
+      ++stats_.lane_pushes;
+      now_.append(n);
+    } else {
+      fallback_push(n);
+    }
     return;
   }
-  if (cur_ < kRungs && n->when < horizon_) {
-    // bottom_end_ is always the start boundary of bucket cur_, so
-    // when >= bottom_end_ lands at index >= cur_ (never a drained bucket).
-    // When horizon_ is saturated at the Time maximum, `when < horizon_`
-    // no longer implies the index is in range — those fall to overflow.
-    const auto idx =
-        static_cast<std::size_t>((n->when - rung_start_) / width_);
-    if (idx < kRungs) {
-      append(rungs_[idx], n);
-      occ_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-      ++rung_count_;
-      ++size_;
-      if (size_ > hwm_) hwm_ = size_;
+  // Fibonacci hashing: the top six bits of delay * 2^64/phi spread the
+  // recurring delays (a few hundred ns apart) across the table.
+  static_assert(kLanes == 64, "home slot is the hash's top six bits");
+  const auto home = static_cast<std::size_t>(
+      (static_cast<std::uint64_t>(delay) * 0x9E3779B97F4A7C15ULL) >> 58);
+  for (std::size_t i = 0; i < kProbe; ++i) {
+    const std::size_t s = (home + i) & (kLanes - 1);
+    if (delay_[s] != delay) continue;
+    Lane& l = lanes_[s];
+    if (l.tail == nullptr) {
+      open_lane(s, n);
+    } else if (earlier(*l.tail, *n)) {
+      ++stats_.lane_pushes;
+      l.append(n);
+    } else {
+      fallback_push(n);
+    }
+    return;
+  }
+  // No lane for this delay: claim a free one, else evict a one-event lane.
+  std::size_t victim = kLanes;
+  for (std::size_t i = 0; i < kProbe; ++i) {
+    const std::size_t s = (home + i) & (kLanes - 1);
+    const Lane& l = lanes_[s];
+    if (l.head == nullptr) {
+      delay_[s] = delay;
+      open_lane(s, n);
       return;
     }
+    if (victim == kLanes && l.head == l.tail) victim = s;
   }
-  n->next = overflow_;
-  overflow_ = n;
-  ++overflow_count_;
-  ++size_;
-  if (size_ > hwm_) hwm_ = size_;
+  if (victim == kLanes) {
+    fallback_push(n);
+    return;
+  }
+  // The victim's one event moves to the fallback heap, and the new event
+  // re-keys the lane's head-heap entry in place.
+  ++stats_.evictions;
+  ++stats_.lane_pushes;
+  Lane& l = lanes_[victim];
+  fallback_.push_back(l.head);
+  std::push_heap(fallback_.begin(), fallback_.end(), FiresLater{});
+  delay_[victim] = delay;
+  l.head = l.tail = n;
+  const std::size_t i = pos_[victim];
+  heads_[i].when = n->when;
+  heads_[i].seq = n->seq;
+  if (i > 0 && earlier(heads_[i], heads_[(i - 1) / 2])) {
+    sift_up(i);
+  } else {
+    sift_down(i);
+  }
 }
 
-std::size_t LadderQueue::next_occupied(std::size_t from) const noexcept {
-  std::size_t word = from >> 6;
-  if (word >= kWords) return kRungs;
-  std::uint64_t w = occ_[word] & (~std::uint64_t{0} << (from & 63));
-  for (;;) {
-    if (w != 0) {
-      return (word << 6) + static_cast<std::size_t>(std::countr_zero(w));
+void EventQueue::open_lane(std::size_t s, EventNode* n) noexcept {
+  ++stats_.lane_pushes;
+  lanes_[s].append(n);
+  set_head(nheads_, Head{n->when, n->seq, static_cast<std::uint32_t>(s)});
+  sift_up(nheads_++);
+}
+
+void EventQueue::fallback_push(EventNode* n) {
+  ++stats_.fallback_pushes;
+  fallback_.push_back(n);
+  std::push_heap(fallback_.begin(), fallback_.end(), FiresLater{});
+}
+
+EventNode* EventQueue::peek() const noexcept {
+  EventNode* best = now_.head;
+  if (nheads_ > 0 && (best == nullptr || earlier(heads_[0], *best))) {
+    best = lanes_[heads_[0].lane].head;
+  }
+  if (!fallback_.empty() &&
+      (best == nullptr || earlier(*fallback_.front(), *best))) {
+    best = fallback_.front();
+  }
+  return best;
+}
+
+EventNode* EventQueue::pop() noexcept {
+  EventNode* n = peek();
+  if (n == nullptr) return nullptr;
+  if (n == now_.head) {
+    now_.head = n->next;
+    if (now_.head == nullptr) now_.tail = nullptr;
+  } else if (nheads_ > 0 && n == lanes_[heads_[0].lane].head) {
+    Lane& l = lanes_[heads_[0].lane];
+    l.head = n->next;
+    if (l.head != nullptr) {
+      heads_[0].when = l.head->when;
+      heads_[0].seq = l.head->seq;
+    } else {
+      l.tail = nullptr;
+      if (--nheads_ > 0) set_head(0, heads_[nheads_]);
     }
-    if (++word == kWords) return kRungs;
-    w = occ_[word];
+    if (nheads_ > 0) sift_down(0);
+  } else {
+    std::pop_heap(fallback_.begin(), fallback_.end(), FiresLater{});
+    fallback_.pop_back();
   }
-}
-
-bool LadderQueue::advance() {
-  assert(bottom_.empty());
-  for (;;) {
-    if (rung_count_ > 0) {
-      const std::size_t idx = next_occupied(cur_);
-      assert(idx < kRungs && "occupancy count and bitmap disagree");
-      Bucket b = rungs_[idx];
-      rungs_[idx] = Bucket{};
-      occ_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
-      cur_ = idx + 1;
-      bottom_end_ = bucket_end(rung_start_, width_, cur_);
-      for (EventNode* n = b.head; n != nullptr;) {
-        EventNode* next = n->next;
-        n->next = nullptr;
-        bottom_.push_back(n);
-        --rung_count_;
-        n = next;
-      }
-      std::make_heap(bottom_.begin(), bottom_.end(), FiresLater{});
-      return true;
-    }
-    if (overflow_ == nullptr) return false;
-    reseed();
-  }
-}
-
-void LadderQueue::reseed() {
-  Time mn = std::numeric_limits<Time>::max();
-  Time mx = 0;
-  for (EventNode* n = overflow_; n != nullptr; n = n->next) {
-    mn = std::min(mn, n->when);
-    mx = std::max(mx, n->when);
-  }
-  rung_start_ = mn;
-  // Width chosen so the maximum lands in the last bucket:
-  // (mx - mn) / width_ <= kRungs - 1 by construction.
-  width_ = (mx - mn) / static_cast<Time>(kRungs) + 1;
-  horizon_ = bucket_end(rung_start_, width_, kRungs);
-  cur_ = 0;
-  bottom_end_ = rung_start_;
-  EventNode* n = overflow_;
-  overflow_ = nullptr;
-  overflow_count_ = 0;
-  while (n != nullptr) {
-    EventNode* next = n->next;
-    const auto idx =
-        static_cast<std::size_t>((n->when - rung_start_) / width_);
-    append(rungs_[idx], n);
-    occ_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-    ++rung_count_;
-    n = next;
-  }
-  ++reseeds_;
-}
-
-EventNode* LadderQueue::peek() {
-  if (bottom_.empty() && !advance()) return nullptr;
-  return bottom_.front();
-}
-
-EventNode* LadderQueue::pop() {
-  if (bottom_.empty() && !advance()) return nullptr;
-  std::pop_heap(bottom_.begin(), bottom_.end(), FiresLater{});
-  EventNode* n = bottom_.back();
-  bottom_.pop_back();
+  n->next = nullptr;
+  last_ = n->when;
   --size_;
   return n;
 }
 
-LadderQueue::Layout LadderQueue::layout() const noexcept {
-  Layout l;
-  l.bottom = bottom_.size();
-  l.rungs = rung_count_;
-  l.overflow = overflow_count_;
-  l.reseeds = reseeds_;
-  l.bottom_end = bottom_end_;
-  l.rung_start = rung_start_;
-  l.width = width_;
-  l.horizon = horizon_;
-  return l;
+void EventQueue::set_head(std::size_t i, const Head& h) noexcept {
+  heads_[i] = h;
+  pos_[h.lane] = static_cast<std::uint8_t>(i);
+}
+
+void EventQueue::sift_up(std::size_t i) noexcept {
+  const Head h = heads_[i];
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    const Head& p = heads_[parent];
+    if (!earlier(h, p)) break;
+    set_head(i, p);
+    i = parent;
+  }
+  set_head(i, h);
+}
+
+void EventQueue::sift_down(std::size_t i) noexcept {
+  const Head h = heads_[i];
+  for (;;) {
+    std::size_t c = 2 * i + 1;
+    if (c >= nheads_) break;
+    if (c + 1 < nheads_ && earlier(heads_[c + 1], heads_[c])) ++c;
+    if (!earlier(heads_[c], h)) break;
+    set_head(i, heads_[c]);
+    i = c;
+  }
+  set_head(i, h);
+}
+
+EventQueue::Layout EventQueue::layout() const noexcept {
+  return Layout{nheads_ + (now_.head != nullptr ? 1 : 0), fallback_.size()};
 }
 
 }  // namespace meshmp::sim

@@ -1,40 +1,45 @@
 #pragma once
 
-// Pooled event nodes and the ladder queue behind sim::Engine.
-//
-// The engine's former std::priority_queue cost O(log n) comparisons per
-// push/pop on a heap of by-value events. This file replaces it with:
+// Pooled event nodes and the lane queue behind sim::Engine.
 //
 //  - EventArena: a freelist of fixed-size EventNodes carved from chunked
 //    slabs (the buf::Pool capacity-class idiom, specialized to one size).
 //    Nodes never move once allocated and are recycled instead of freed, so
 //    steady-state scheduling performs zero heap allocations.
 //
-//  - LadderQueue: a calendar/ladder queue over the same strict (when, seq)
-//    order as the old heap. Near-future events live in a binary heap
-//    ("bottom"); mid-range events are spread across kRungs buckets of equal
-//    width; far-future events sit on an unsorted overflow list that is
-//    re-spread (reseeded) across fresh buckets when the current rung ladder
-//    drains. Rung and overflow work is O(1) amortized per event, but push
-//    and pop cost O(log b), where b is the number of events inside the
-//    current bucket's window: most events are scheduled well under one
-//    bucket width ahead, so nearly every push lands in the bottom heap and
-//    b runs to hundreds or thousands on cluster workloads.
+//  - EventQueue: per-delay FIFO lanes over the strict (when, seq) order.
+//    The modelled hardware schedules almost everything at a handful of
+//    fixed offsets (zero, cable, VIA work, ISR entry, interrupt delay, frame
+//    serialization, heartbeat), and events pushed at one delay past a
+//    non-decreasing pop time arrive already sorted. So each push goes to
+//    the lane keyed by its delay past the last popped `when`, found by a
+//    short linear probe of a small fixed table. A lane only accepts an
+//    event whose (when, seq) exceeds its tail, so every lane is sorted by
+//    construction; a small indexed heap orders the heads of the nonempty
+//    lanes, and a fallback heap takes any event that finds no lane. A delay
+//    that finds neither its own lane nor a free one evicts a one-event lane
+//    (its event moves to the fallback heap) and takes it over, so one-off
+//    delays cannot crowd out the recurring ones. The zero-delay lane stays
+//    out of the head heap: its events all fire at the last pop's time, so
+//    one comparison against each heap top orders it. Lane pushes and pops
+//    cost O(log kLanes) at most; only fallback events pay O(log fallback).
 //
 // Ordering invariants (what makes dispatch order — and therefore the FNV
-// determinism digest — byte-identical to the old heap):
-//  1. bottom holds exactly the events with when <  bottom_end_;
-//     rungs/overflow hold events with       when >= bottom_end_.
-//     So whenever bottom is nonempty its heap minimum is the global minimum.
+// determinism digest — byte-identical to the engine's former binary heap):
+//  1. Every lane is sorted by (when, seq), and the head heap holds exactly
+//     the head of each nonempty keyed lane. pop() takes the smallest of the
+//     zero-delay lane's head and the two heap tops: the global minimum.
 //  2. (when, seq) is a total order (seq is unique), so the pop sequence is
-//     fully determined by the comparator — independent of bucket layout,
-//     overflow list order, or heap internals.
-//  3. All bucket geometry (rung_start_, width_, horizon_) is derived from
-//     simulated timestamps only, never from host state, so two runs of the
-//     same program make identical structural decisions.
+//     fully determined by the comparator — independent of which lane or
+//     heap an event sat in, and of evictions. A push earlier than the last
+//     pop (never done by the engine) goes to the fallback heap and still
+//     pops in order.
+//  3. Lane assignment derives from simulated timestamps only, never from
+//     host state, so two runs of the same program make identical
+//     structural decisions and report identical work counts.
 //
 // Thread-safety: neither class locks; both are owned by sim::Engine and
-// guarded by its queue_mu_ (see MESHMP_GUARDED_BY annotations there).
+// guarded by its shard lock (see MESHMP_GUARDED_BY annotations there).
 
 #include <array>
 #include <cstddef>
@@ -48,8 +53,8 @@
 namespace meshmp::sim {
 
 /// One scheduled event. Arena-owned; never moves once allocated. `next`
-/// links nodes while they sit in a rung bucket, the overflow list, or the
-/// arena freelist; the bottom heap stores raw pointers instead.
+/// links nodes while they sit in a lane or the arena freelist; the
+/// fallback heap stores raw pointers instead.
 struct EventNode {
   Time when = 0;
   std::uint64_t seq = 0;
@@ -99,23 +104,25 @@ class EventArena {
   EventNode* free_ = nullptr;
 };
 
-/// Calendar/ladder queue; see the file comment for structure and invariants.
-class LadderQueue {
+/// Per-delay lane queue; see the file comment for structure and invariants.
+class EventQueue {
  public:
-  // Pre-sizing the bottom heap keeps the steady state allocation-free: a
+  // Pre-sizing the fallback heap keeps the steady state allocation-free: a
   // vector doubling can otherwise land arbitrarily late (first time the
-  // bottom's high-water mark is reached), which the engine microbench's
+  // heap's high-water mark is reached), which the engine microbench's
   // zero-allocation assertion would catch as a spurious failure.
-  LadderQueue() { bottom_.reserve(1024); }
-  LadderQueue(const LadderQueue&) = delete;
-  LadderQueue& operator=(const LadderQueue&) = delete;
+  EventQueue() {
+    delay_.fill(kUnclaimed);
+    fallback_.reserve(1024);
+  }
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
 
   void push(EventNode* n);
-  /// Minimum-(when, seq) node, or nullptr when empty. May restructure
-  /// internally (drain a bucket into the bottom heap) but never reorders.
-  [[nodiscard]] EventNode* peek();
+  /// Minimum-(when, seq) node, or nullptr when empty.
+  [[nodiscard]] EventNode* peek() const noexcept;
   /// Removes and returns the minimum node, or nullptr when empty.
-  EventNode* pop();
+  EventNode* pop() noexcept;
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
@@ -123,50 +130,67 @@ class LadderQueue {
   /// since depth evolution is a function of the simulated program alone).
   [[nodiscard]] std::size_t depth_hwm() const noexcept { return hwm_; }
 
+  /// Work counts: every push is exactly one lane push or one fallback push;
+  /// an eviction later moves one lane event into the fallback heap.
+  struct Stats {
+    std::uint64_t lane_pushes = 0;
+    std::uint64_t fallback_pushes = 0;
+    std::uint64_t evictions = 0;
+  };
+  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+
   /// Structural snapshot for white-box tests.
   struct Layout {
-    std::size_t bottom = 0;    ///< nodes in the bottom heap
-    std::size_t rungs = 0;     ///< nodes across all rung buckets
-    std::size_t overflow = 0;  ///< nodes on the overflow list
-    std::size_t reseeds = 0;   ///< overflow re-spreads performed
-    Time bottom_end = 0;       ///< bottom holds when < bottom_end
-    Time rung_start = 0;       ///< first bucket's start time
-    Time width = 1;            ///< bucket width (ns)
-    Time horizon = 0;          ///< rung coverage end (saturating)
+    std::size_t lanes = 0;     ///< nonempty lanes
+    std::size_t fallback = 0;  ///< nodes in the fallback heap
   };
   [[nodiscard]] Layout layout() const noexcept;
 
  private:
-  static constexpr std::size_t kRungs = 256;
-  static constexpr std::size_t kWords = kRungs / 64;
+  static constexpr std::size_t kLanes = 64;  // power of two (probe wraps)
+  static constexpr std::size_t kProbe = 8;
+  static constexpr Duration kUnclaimed = -1;
 
-  struct Bucket {
+  /// Sorted FIFO of events pushed at one delay past the pop time (the key
+  /// sits in delay_). A lane keeps its key while empty, so a recurring
+  /// delay finds it again.
+  struct Lane {
     EventNode* head = nullptr;
     EventNode* tail = nullptr;
+    void append(EventNode* n) noexcept {
+      if (tail != nullptr) {
+        tail->next = n;
+      } else {
+        head = n;
+      }
+      tail = n;
+    }
+  };
+  /// Head-heap entry: a nonempty lane keyed by its head's (when, seq).
+  struct Head {
+    Time when = 0;
+    std::uint64_t seq = 0;
+    std::uint32_t lane = 0;
   };
 
-  void append(Bucket& b, EventNode* n) noexcept;
-  /// Refills the empty bottom heap from the next nonempty bucket, reseeding
-  /// from overflow as needed. False when the queue is truly empty.
-  bool advance();
-  /// Re-spreads the overflow list across fresh buckets sized to its span.
-  void reseed();
-  [[nodiscard]] std::size_t next_occupied(std::size_t from) const noexcept;
+  /// Starts empty lane s with n and enters it into the head heap.
+  void open_lane(std::size_t s, EventNode* n) noexcept;
+  void fallback_push(EventNode* n);
+  void set_head(std::size_t i, const Head& h) noexcept;
+  void sift_up(std::size_t i) noexcept;
+  void sift_down(std::size_t i) noexcept;
 
-  std::vector<EventNode*> bottom_;  // binary min-heap under FiresLater
-  std::array<Bucket, kRungs> rungs_{};
-  std::array<std::uint64_t, kWords> occ_{};  // nonempty-bucket bitmap
-  std::size_t cur_ = kRungs;                 // next bucket to drain
-  std::size_t rung_count_ = 0;               // events across all buckets
-  Time rung_start_ = 0;
-  Time width_ = 1;
-  Time bottom_end_ = 0;
-  Time horizon_ = 0;
-  EventNode* overflow_ = nullptr;
-  std::size_t overflow_count_ = 0;
-  std::size_t reseeds_ = 0;
+  Lane now_;  // zero-delay lane; not in the head heap (see file comment)
+  std::array<Duration, kLanes> delay_{};  // lane key; kUnclaimed if never used
+  std::array<Lane, kLanes> lanes_{};
+  std::array<Head, kLanes> heads_{};        // binary min-heap, nheads_ long
+  std::array<std::uint8_t, kLanes> pos_{};  // lane -> index in heads_
+  std::size_t nheads_ = 0;
+  std::vector<EventNode*> fallback_;  // binary min-heap under FiresLater
+  Time last_ = 0;                     // `when` of the last pop
   std::size_t size_ = 0;
   std::size_t hwm_ = 0;
+  Stats stats_;
 };
 
 }  // namespace meshmp::sim

@@ -1,13 +1,15 @@
 // Unit and property tests for the event hot path behind sim::Engine: the
-// pooled EventArena, the calendar/ladder queue, and the fixed-capacity
-// InlineFn callable. The load-bearing property throughout is that the ladder
+// pooled EventArena, the per-delay lane queue, and the fixed-capacity
+// InlineFn callable. The load-bearing property throughout is that the lane
 // queue's pop sequence is the strict (when, seq) order of the engine's former
-// binary heap — bucket layout, reseeds and overflow handling may restructure
-// freely but must never reorder.
+// binary heap — lane claims, evictions and fallback pushes may restructure
+// freely but must never reorder. (The suite names predate the lane queue and
+// are kept so test IDs stay stable.)
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <queue>
 #include <vector>
@@ -60,10 +62,10 @@ TEST(EventArena, GrowsInChunksAndNodesStayPut) {
   for (EventNode* n : nodes) arena.put(n);
 }
 
-// --- LadderQueue ordering properties ---------------------------------------
+// --- EventQueue ordering properties ----------------------------------------
 
 TEST(LadderQueue, EmptyQueueBehaviour) {
-  LadderQueue q;
+  EventQueue q;
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.size(), 0u);
   EXPECT_EQ(q.peek(), nullptr);
@@ -76,11 +78,15 @@ TEST(LadderQueue, EmptyQueueBehaviour) {
 }
 
 TEST(LadderQueue, MatchesReferenceHeapUnderRandomChurn) {
-  // Interleaved pushes and pops against the reference heap, with timestamps
-  // drawn from a mix of near (dense) and far (sparse) ranges so buckets,
-  // overflow, and reseeds all engage mid-property.
+  // Interleaved pushes and pops against the reference heap. Delays follow
+  // the simulator's measured shape: ~30% zero, ~65% a handful of fixed
+  // hardware costs, ~5% random across near, mid and far ranges (in small
+  // bursts of one delay, as a broadcast fans out). Lane appends, evictions
+  // of one-event lanes and fallback pushes all engage mid-property.
+  static constexpr Duration kFixed[] = {285, 300, 400, 816, 1000, 12'600,
+                                        200'000};
   EventArena arena;
-  LadderQueue q;
+  EventQueue q;
   RefHeap ref;
   Rng rng(1234);
   std::uint64_t seq = 0;
@@ -88,22 +94,33 @@ TEST(LadderQueue, MatchesReferenceHeapUnderRandomChurn) {
   for (int round = 0; round < 20'000; ++round) {
     const bool push = ref.empty() || rng.below(100) < 55;
     if (push) {
-      Time when = lo;
-      switch (rng.below(4)) {
-        case 0: when += static_cast<Time>(rng.below(64)); break;        // now-ish
-        case 1: when += static_cast<Time>(rng.below(10'000)); break;    // near
-        case 2: when += static_cast<Time>(rng.below(5'000'000)); break; // mid
-        default:
-          when += static_cast<Time>(rng.below(3'000'000'000ULL));       // far
+      Duration delay = 0;
+      std::uint64_t burst = 1;
+      const std::uint64_t cls = rng.below(100);
+      if (cls < 30) {
+        delay = 0;
+      } else if (cls < 95) {
+        delay = kFixed[rng.below(std::size(kFixed))];
+      } else {
+        burst = 1 + rng.below(3);
+        switch (rng.below(4)) {
+          case 0: delay = static_cast<Duration>(rng.below(64)); break;
+          case 1: delay = static_cast<Duration>(rng.below(10'000)); break;
+          case 2: delay = static_cast<Duration>(rng.below(5'000'000)); break;
+          default:
+            delay = static_cast<Duration>(rng.below(3'000'000'000ULL));
+        }
       }
-      EventNode* n = make(arena, when, seq++);
-      q.push(n);
-      ref.push(n);
+      for (std::uint64_t i = 0; i < burst; ++i) {
+        EventNode* n = make(arena, lo + delay, seq++);
+        q.push(n);
+        ref.push(n);
+      }
     } else {
       EventNode* got = q.pop();
       EventNode* want = ref.top();
       ref.pop();
-      ASSERT_EQ(got, want) << "round " << round << ": ladder popped ("
+      ASSERT_EQ(got, want) << "round " << round << ": queue popped ("
                            << got->when << "," << got->seq << ") but heap has ("
                            << want->when << "," << want->seq << ")";
       lo = got->when;
@@ -118,12 +135,16 @@ TEST(LadderQueue, MatchesReferenceHeapUnderRandomChurn) {
     arena.put(got);
   }
   EXPECT_TRUE(q.empty());
-  EXPECT_GT(q.layout().reseeds, 0u) << "property never exercised a reseed";
+  const EventQueue::Stats& st = q.stats();
+  EXPECT_EQ(st.lane_pushes + st.fallback_pushes, seq) << "push uncounted";
+  EXPECT_GT(st.lane_pushes, 0u) << "property never appended to a lane";
+  EXPECT_GT(st.evictions, 0u) << "property never evicted a one-event lane";
+  EXPECT_GT(st.fallback_pushes, 0u) << "property never pushed to fallback";
 }
 
 TEST(LadderQueue, AllEqualTimestampsPopInSeqOrder) {
   EventArena arena;
-  LadderQueue q;
+  EventQueue q;
   for (std::uint64_t s = 0; s < 1000; ++s) q.push(make(arena, 77, s));
   for (std::uint64_t s = 0; s < 1000; ++s) {
     EventNode* n = q.pop();
@@ -136,11 +157,12 @@ TEST(LadderQueue, AllEqualTimestampsPopInSeqOrder) {
 }
 
 TEST(LadderQueue, TimesNearTheTimeMaximumDoNotOverflow) {
-  // bucket_end() must saturate rather than wrap: events at and just below
-  // the Time maximum still pop in order, including together with t=0.
+  // Delay keys near the Time maximum hash and compare without wrapping:
+  // events at and just below it still pop in order, including together
+  // with t=0.
   constexpr Time kMax = std::numeric_limits<Time>::max();
   EventArena arena;
-  LadderQueue q;
+  EventQueue q;
   q.push(make(arena, kMax, 0));
   q.push(make(arena, 0, 1));
   q.push(make(arena, kMax - 1, 2));
@@ -155,32 +177,64 @@ TEST(LadderQueue, TimesNearTheTimeMaximumDoNotOverflow) {
     arena.put(n);
   }
   EXPECT_TRUE(q.empty());
-  const auto l = q.layout();
-  EXPECT_EQ(l.horizon, kMax) << "horizon must saturate, not wrap";
 }
 
-TEST(LadderQueue, PushBelowBottomEndGoesToBottomHeap) {
-  // After a bucket drains into the bottom heap, a push earlier than
-  // bottom_end_ must join the heap directly (invariant 1: bottom holds
-  // exactly the events with when < bottom_end_).
+TEST(LadderQueue, FixedPeriodTimerStaysInOneLane) {
+  // White box: eight timers re-armed at one period after each pop all push
+  // at the same delay past the pop time, so they share one lane, in order,
+  // and never touch the fallback heap.
+  constexpr Duration kPeriod = 200'000;
   EventArena arena;
-  LadderQueue q;
-  for (Time t = 1000; t <= 5000; t += 1000) {
-    q.push(make(arena, t, static_cast<std::uint64_t>(t)));
+  EventQueue q;
+  std::uint64_t seq = 0;
+  for (int i = 0; i < 8; ++i) q.push(make(arena, kPeriod, seq++));
+  Time last = 0;
+  for (int i = 0; i < 10'000; ++i) {
+    ASSERT_EQ(q.layout().lanes, 1u);
+    ASSERT_EQ(q.layout().fallback, 0u);
+    EventNode* n = q.pop();
+    ASSERT_GE(n->when, last);
+    last = n->when;
+    n->when += kPeriod;
+    n->seq = seq++;
+    q.push(n);
   }
-  ASSERT_EQ(q.peek()->when, 1000);  // forces a reseed + first bucket drain
-  const auto before = q.layout();
-  ASSERT_GT(before.bottom_end, 0);
-  q.push(make(arena, q.peek()->when, 9999));  // same time, later seq
-  const auto after = q.layout();
-  EXPECT_EQ(after.bottom, before.bottom + 1);
-  EXPECT_EQ(q.pop()->seq, 1000u);
-  EXPECT_EQ(q.pop()->seq, 9999u);
+  EXPECT_EQ(q.stats().lane_pushes, seq);
+  EXPECT_EQ(q.stats().fallback_pushes, 0u);
+  EXPECT_EQ(q.stats().evictions, 0u);
+  while (EventNode* n = q.pop()) arena.put(n);
+}
+
+TEST(LadderQueue, OutOfOrderPushesStillPopInOrder) {
+  // The engine always pushes at or after the last pop with rising seq, but
+  // the queue stays exact if a caller does not: a push behind its own
+  // lane's tail or before the last pop takes the fallback heap.
+  EventArena arena;
+  EventQueue q;
+  q.push(make(arena, 100, 5));
+  q.push(make(arena, 100, 3));  // same delay as seq 5, but sorts first
+  q.push(make(arena, 300, 6));
+  EXPECT_EQ(q.stats().fallback_pushes, 1u);
+  EventNode* first = q.pop();
+  EXPECT_EQ(first->seq, 3u);
+  arena.put(first);
+  q.push(make(arena, 100, 9));  // zero delay
+  q.push(make(arena, 100, 8));  // zero delay, behind that lane's tail
+  q.push(make(arena, 50, 7));   // before the last pop
+  EXPECT_EQ(q.stats().fallback_pushes, 3u);
+  const std::uint64_t want[] = {7, 5, 8, 9, 6};
+  for (std::uint64_t w : want) {
+    ASSERT_EQ(q.peek()->seq, w);
+    EventNode* n = q.pop();
+    EXPECT_EQ(n->seq, w);
+    arena.put(n);
+  }
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(LadderQueue, DepthHighWaterMarkTracksPeak) {
   EventArena arena;
-  LadderQueue q;
+  EventQueue q;
   std::vector<EventNode*> popped;
   for (std::uint64_t s = 0; s < 100; ++s) q.push(make(arena, 10 + s, s));
   EXPECT_EQ(q.depth_hwm(), 100u);
@@ -193,7 +247,7 @@ TEST(LadderQueue, DepthHighWaterMarkTracksPeak) {
 
 void schedule_parity_load(Engine& eng, int fanout) {
   // Self-expanding event tree: every event schedules a few more until a
-  // budget runs out, exercising push-into-bottom, buckets, and ties.
+  // budget runs out, exercising lane appends, lane claims, and ties.
   struct Spawn {
     Engine* eng;
     int* budget;

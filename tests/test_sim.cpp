@@ -96,6 +96,32 @@ TEST(Engine, RunUntilStopsAtBoundary) {
   EXPECT_EQ(eng.now(), 100);
 }
 
+// run_until with a time already passed must not rewind the clock: the
+// event at 100 ns has run, so 60 ns stays in the past.
+void expect_run_until_never_rewinds(Engine& eng) {
+  int fired = 0;
+  eng.schedule_at(100_ns, [&] { ++fired; });
+  EXPECT_FALSE(eng.run_until(100_ns));
+  ASSERT_EQ(fired, 1);
+  EXPECT_FALSE(eng.run_until(50_ns));
+  EXPECT_EQ(eng.now(), 100);
+  EXPECT_THROW(eng.schedule_at(60_ns, [&] { ++fired; }),
+               std::invalid_argument);
+  eng.run();
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(Engine, RunUntilEarlierTimeKeepsTheClock) {
+  Engine eng;
+  expect_run_until_never_rewinds(eng);
+}
+
+TEST(Engine, PartitionedRunUntilEarlierTimeKeepsTheClock) {
+  Engine eng;
+  eng.partition(3, 1, 300);
+  expect_run_until_never_rewinds(eng);
+}
+
 TEST(Engine, DeterministicAcrossRuns) {
   auto run_once = [] {
     Engine eng;
