@@ -25,8 +25,7 @@ struct SumWorld {
   std::vector<std::unique_ptr<mp::Endpoint>> eps;
   std::vector<std::unique_ptr<qmp::Machine>> machines;
   sim::Time start = 0;
-  // Per-rank finish slots (max after the run); a shared countdown latch
-  // would race across logical processes under the parallel engine.
+  // Per-rank finish slots (max after the run).
   std::vector<sim::Time> finish;
 
   explicit SumWorld(topo::Coord shape)
@@ -37,7 +36,6 @@ struct SumWorld {
         }()),
         finish(static_cast<std::size_t>(cluster.size()), 0) {
     for (topo::Rank r = 0; r < cluster.size(); ++r) {
-      sim::LpScope scope(cluster.engine(), cluster.lp_of(r));
       eps.push_back(std::make_unique<mp::Endpoint>(cluster.agent(r),
                                                    mp::CoreParams{}));
       machines.push_back(std::make_unique<qmp::Machine>(*eps.back()));
@@ -62,7 +60,6 @@ double time_global_sum(topo::Coord shape, bool kernel_level) {
         m.endpoint().engine().now();
   };
   for (topo::Rank r = 0; r < w.cluster.size(); ++r) {
-    sim::LpScope scope(w.cluster.engine(), w.cluster.lp_of(r));
     prog(w, *w.machines[static_cast<std::size_t>(r)], kernel_level).detach();
   }
   w.cluster.run();

@@ -97,14 +97,6 @@ BenchReport::~BenchReport() {
       secs > 0 ? static_cast<std::int64_t>(
                      static_cast<double>(es.events_dispatched) / secs)
                : 0);
-  // Worker-thread count (MESHMP_THREADS; 0 = legacy single-shard engine) and
-  // the window tallies, so a bench_diff between thread counts shows what
-  // fraction of windows actually fanned out to the team.
-  host_counters.inc("threads",
-                    static_cast<std::int64_t>(sim::threads_from_env()));
-  host_counters.inc("windows", static_cast<std::int64_t>(es.windows));
-  host_counters.inc("parallel_windows",
-                    static_cast<std::int64_t>(es.parallel_windows));
   // Event-queue work counts: how many pushes took an O(1) FIFO lane versus
   // the fallback heap, and how many lane events were evicted into it.
   host_counters.inc("queue_lane_pushes",
@@ -205,9 +197,7 @@ double via_aggregate_bw_faulty(int ndims, std::int64_t size,
     }
   }
 
-  // Per-drain finish slots (max taken after the run): the drains live on
-  // different logical processes, so a shared countdown latch would race
-  // under the parallel engine.
+  // Per-drain finish slots (max taken after the run).
   std::vector<sim::Time> ends(static_cast<std::size_t>(2 * nlinks), 0);
   auto stream = [](via::Vi& vi, std::int64_t sz, int n) -> Task<> {
     for (int i = 0; i < n; ++i) {
@@ -227,23 +217,16 @@ double via_aggregate_bw_faulty(int ndims, std::int64_t size,
     inj = std::make_unique<flt::Injector>(c, faults);
   }
   for (int i = 0; i < nlinks; ++i) {
-    const auto nb = *t.neighbor(center, dirs[static_cast<std::size_t>(i)]);
-    {
-      sim::LpScope sc(c.engine(), c.lp_of(center));
-      stream(*conns[static_cast<std::size_t>(i)].mine, size, count_per_link)
-          .detach();
-      drain(*rev[static_cast<std::size_t>(i)].theirs, c.engine(),
-            count_per_link, ends[static_cast<std::size_t>(nlinks + i)])
-          .detach();
-    }
-    {
-      sim::LpScope sn(c.engine(), c.lp_of(nb));
-      stream(*rev[static_cast<std::size_t>(i)].mine, size, count_per_link)
-          .detach();
-      drain(*conns[static_cast<std::size_t>(i)].theirs, c.engine(),
-            count_per_link, ends[static_cast<std::size_t>(i)])
-          .detach();
-    }
+    stream(*conns[static_cast<std::size_t>(i)].mine, size, count_per_link)
+        .detach();
+    drain(*rev[static_cast<std::size_t>(i)].theirs, c.engine(),
+          count_per_link, ends[static_cast<std::size_t>(nlinks + i)])
+        .detach();
+    stream(*rev[static_cast<std::size_t>(i)].mine, size, count_per_link)
+        .detach();
+    drain(*conns[static_cast<std::size_t>(i)].theirs, c.engine(),
+          count_per_link, ends[static_cast<std::size_t>(i)])
+        .detach();
   }
   c.run();
   const sim::Time t_end = *std::max_element(ends.begin(), ends.end());
@@ -296,16 +279,10 @@ double tcp_simultaneous_bw(std::int64_t size, int count) {
     end = eng.now();
   };
   const sim::Time t0 = p.cluster.engine().now();
-  {
-    sim::LpScope s0(p.cluster.engine(), p.cluster.lp_of(0));
-    stream(*p.a, size, count).detach();
-    drain(*p.a, p.cluster.engine(), size, count, ends[0]).detach();
-  }
-  {
-    sim::LpScope s1(p.cluster.engine(), p.cluster.lp_of(1));
-    stream(*p.b, size, count).detach();
-    drain(*p.b, p.cluster.engine(), size, count, ends[1]).detach();
-  }
+  stream(*p.a, size, count).detach();
+  drain(*p.a, p.cluster.engine(), size, count, ends[0]).detach();
+  stream(*p.b, size, count).detach();
+  drain(*p.b, p.cluster.engine(), size, count, ends[1]).detach();
   p.cluster.run();
   const sim::Time t_end = std::max(ends[0], ends[1]);
   return sim::rate_mb_per_s(size * count, t_end - t0);
@@ -365,23 +342,16 @@ double tcp_aggregate_bw(int ndims, std::int64_t size, int count_per_link) {
   };
   const sim::Time t0 = c.engine().now();
   for (int i = 0; i < nlinks; ++i) {
-    const auto nb = *t.neighbor(center, dirs[static_cast<std::size_t>(i)]);
-    {
-      sim::LpScope sc(c.engine(), c.lp_of(center));
-      stream(*out[static_cast<std::size_t>(i)].mine, size, count_per_link)
-          .detach();
-      drain(*back[static_cast<std::size_t>(i)].theirs, c.engine(), size,
-            count_per_link, ends[static_cast<std::size_t>(nlinks + i)])
-          .detach();
-    }
-    {
-      sim::LpScope sn(c.engine(), c.lp_of(nb));
-      stream(*back[static_cast<std::size_t>(i)].mine, size, count_per_link)
-          .detach();
-      drain(*out[static_cast<std::size_t>(i)].theirs, c.engine(), size,
-            count_per_link, ends[static_cast<std::size_t>(i)])
-          .detach();
-    }
+    stream(*out[static_cast<std::size_t>(i)].mine, size, count_per_link)
+        .detach();
+    drain(*back[static_cast<std::size_t>(i)].theirs, c.engine(), size,
+          count_per_link, ends[static_cast<std::size_t>(nlinks + i)])
+        .detach();
+    stream(*back[static_cast<std::size_t>(i)].mine, size, count_per_link)
+        .detach();
+    drain(*out[static_cast<std::size_t>(i)].theirs, c.engine(), size,
+          count_per_link, ends[static_cast<std::size_t>(i)])
+        .detach();
   }
   c.run();
   const sim::Time t_end = *std::max_element(ends.begin(), ends.end());
@@ -407,8 +377,6 @@ struct EndpointWorld {
           return cfg;
         }()) {
     for (topo::Rank r = 0; r < cluster.size(); ++r) {
-      // Endpoint progress loops belong to their rank's logical process.
-      sim::LpScope scope(cluster.engine(), cluster.lp_of(r));
       eps.push_back(
           std::make_unique<mp::Endpoint>(cluster.agent(r), mp_params));
     }
@@ -515,24 +483,18 @@ double mpiqmp_aggregate_bw(int ndims, std::int64_t size, int count_per_link) {
   const sim::Time t0 = w.cluster.engine().now();
   for (int i = 0; i < nlinks; ++i) {
     const auto nb = *t.neighbor(center, dirs[static_cast<std::size_t>(i)]);
-    {
-      sim::LpScope sc(w.cluster.engine(), w.cluster.lp_of(center));
-      stream(*w.eps[static_cast<std::size_t>(center)], nb, size,
-             count_per_link)
-          .detach();
-      drain(*w.eps[static_cast<std::size_t>(center)], w.cluster.engine(), nb,
-            count_per_link, ends[static_cast<std::size_t>(nlinks + i)])
-          .detach();
-    }
-    {
-      sim::LpScope sn(w.cluster.engine(), w.cluster.lp_of(nb));
-      stream(*w.eps[static_cast<std::size_t>(nb)], center, size,
-             count_per_link)
-          .detach();
-      drain(*w.eps[static_cast<std::size_t>(nb)], w.cluster.engine(), center,
-            count_per_link, ends[static_cast<std::size_t>(i)])
-          .detach();
-    }
+    stream(*w.eps[static_cast<std::size_t>(center)], nb, size,
+           count_per_link)
+        .detach();
+    drain(*w.eps[static_cast<std::size_t>(center)], w.cluster.engine(), nb,
+          count_per_link, ends[static_cast<std::size_t>(nlinks + i)])
+        .detach();
+    stream(*w.eps[static_cast<std::size_t>(nb)], center, size,
+           count_per_link)
+        .detach();
+    drain(*w.eps[static_cast<std::size_t>(nb)], w.cluster.engine(), center,
+          count_per_link, ends[static_cast<std::size_t>(i)])
+        .detach();
   }
   w.cluster.run();
   const sim::Time t_end = *std::max_element(ends.begin(), ends.end());

@@ -17,7 +17,6 @@
 #include "cluster/tcp_mesh.hpp"
 #include "mp/endpoint.hpp"
 #include "sim/engine.hpp"
-#include "sim/lp.hpp"
 #include "via/agent.hpp"
 
 namespace benchutil {
@@ -141,8 +140,6 @@ inline double via_simultaneous_bw(std::int64_t size, int count = 200,
     p.b->post_recv(size + 64);
   }
   // Each drain records its own finish time; the measurement is the max.
-  // A shared "++fin == 2" latch would be a data race under the parallel
-  // engine (the two drains live on different logical processes).
   sim::Time ends[2] = {0, 0};
   auto stream = [](via::Vi& vi, std::int64_t sz, int n) -> Task<> {
     for (int i = 0; i < n; ++i) {
@@ -155,16 +152,10 @@ inline double via_simultaneous_bw(std::int64_t size, int count = 200,
     end = eng.now();
   };
   const sim::Time t0 = p.cluster.engine().now();
-  {
-    sim::LpScope s0(p.cluster.engine(), p.cluster.lp_of(0));
-    stream(*p.a, size, count).detach();
-    drain(*p.a, p.cluster.engine(), count, ends[0]).detach();
-  }
-  {
-    sim::LpScope s1(p.cluster.engine(), p.cluster.lp_of(1));
-    stream(*p.b, size, count).detach();
-    drain(*p.b, p.cluster.engine(), count, ends[1]).detach();
-  }
+  stream(*p.a, size, count).detach();
+  drain(*p.a, p.cluster.engine(), count, ends[0]).detach();
+  stream(*p.b, size, count).detach();
+  drain(*p.b, p.cluster.engine(), count, ends[1]).detach();
   p.cluster.run();
   const sim::Time t_end = ends[0] > ends[1] ? ends[0] : ends[1];
   return sim::rate_mb_per_s(size * count, t_end - t0);

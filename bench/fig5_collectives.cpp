@@ -23,9 +23,7 @@ struct CollWorld {
   cluster::GigeMeshCluster cluster;
   std::vector<std::unique_ptr<mp::Endpoint>> eps;
   sim::Time t_start = 0;
-  // Per-rank finish times (max taken after the run): ranks live on distinct
-  // logical processes, so a shared "++done == nranks" latch would race
-  // under the parallel engine.
+  // Per-rank finish times (max taken after the run).
   std::vector<sim::Time> finish;
 
   explicit CollWorld(topo::Coord shape)
@@ -36,8 +34,6 @@ struct CollWorld {
         }()),
         finish(static_cast<std::size_t>(cluster.size()), 0) {
     for (topo::Rank r = 0; r < cluster.size(); ++r) {
-      // Endpoint progress loops belong to their rank's logical process.
-      sim::LpScope scope(cluster.engine(), cluster.lp_of(r));
       eps.push_back(std::make_unique<mp::Endpoint>(cluster.agent(r),
                                                    mp::CoreParams{}));
     }
@@ -69,7 +65,6 @@ double run_collective(Op op, std::int64_t bytes) {
     world.finish[static_cast<std::size_t>(ep.rank())] = ep.engine().now();
   };
   for (topo::Rank r = 0; r < w.cluster.size(); ++r) {
-    sim::LpScope scope(w.cluster.engine(), w.cluster.lp_of(r));
     node(w, *w.eps[static_cast<std::size_t>(r)], op, bytes).detach();
   }
   w.cluster.run();

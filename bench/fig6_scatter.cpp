@@ -24,8 +24,7 @@ struct ScatterWorld {
   cluster::GigeMeshCluster cluster;
   std::vector<std::unique_ptr<mp::Endpoint>> eps;
   sim::Time t_start = 0;
-  // Per-rank finish slots (max after the run); a shared countdown latch
-  // would race across logical processes under the parallel engine.
+  // Per-rank finish slots (max after the run).
   std::vector<sim::Time> finish;
 
   explicit ScatterWorld(topo::Coord shape)
@@ -36,7 +35,6 @@ struct ScatterWorld {
         }()),
         finish(static_cast<std::size_t>(cluster.size()), 0) {
     for (topo::Rank r = 0; r < cluster.size(); ++r) {
-      sim::LpScope scope(cluster.engine(), cluster.lp_of(r));
       eps.push_back(std::make_unique<mp::Endpoint>(cluster.agent(r),
                                                    mp::CoreParams{}));
     }
@@ -63,7 +61,6 @@ double run_scatter(topo::Coord shape, coll::ScatterAlg alg,
     world.finish[static_cast<std::size_t>(ep.rank())] = ep.engine().now();
   };
   for (topo::Rank r = 0; r < w.cluster.size(); ++r) {
-    sim::LpScope scope(w.cluster.engine(), w.cluster.lp_of(r));
     node(w, *w.eps[static_cast<std::size_t>(r)], alg, bytes, n).detach();
   }
   w.cluster.run();

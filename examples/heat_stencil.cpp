@@ -50,9 +50,7 @@ std::vector<std::byte> pack_row(Tile& t, int y) {
 }
 
 Task<> node_main(qmp::Machine& m, double& final_heat, int& done) {
-  // `done` is this rank's own slot (summed by main after the run); ranks
-  // live on distinct logical processes, so a shared counter would race
-  // under the parallel engine.
+  // `done` is this rank's own slot (summed by main after the run).
   Tile t;
   // Initial condition: a hot spot on rank 0 only.
   if (m.node_number() == 0) t.at(kTile / 2, kTile / 2) = 1000.0;
@@ -135,7 +133,6 @@ int main() {
   std::vector<std::unique_ptr<mp::Endpoint>> eps;
   std::vector<std::unique_ptr<qmp::Machine>> machines;
   for (topo::Rank r = 0; r < cluster.size(); ++r) {
-    sim::LpScope scope(cluster.engine(), cluster.lp_of(r));
     eps.push_back(
         std::make_unique<mp::Endpoint>(cluster.agent(r), mp::CoreParams{}));
     machines.push_back(std::make_unique<qmp::Machine>(*eps.back()));
@@ -144,7 +141,6 @@ int main() {
   double final_heat = 0;
   std::vector<int> done_slots(static_cast<std::size_t>(cluster.size()), 0);
   for (topo::Rank r = 0; r < cluster.size(); ++r) {
-    sim::LpScope scope(cluster.engine(), cluster.lp_of(r));
     node_main(*machines[static_cast<std::size_t>(r)], final_heat,
               done_slots[static_cast<std::size_t>(r)])
         .detach();

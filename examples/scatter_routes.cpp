@@ -25,13 +25,11 @@ double run_scatter(coll::ScatterAlg alg, std::int64_t bytes) {
   cluster::GigeMeshCluster cluster(cfg);
   std::vector<std::unique_ptr<mp::Endpoint>> eps;
   for (topo::Rank r = 0; r < cluster.size(); ++r) {
-    sim::LpScope scope(cluster.engine(), cluster.lp_of(r));
     eps.push_back(
         std::make_unique<mp::Endpoint>(cluster.agent(r), mp::CoreParams{}));
   }
   sim::Time t0 = 0;
-  // Per-rank finish slots (max after the run); a shared countdown latch
-  // would race across logical processes under the parallel engine.
+  // Per-rank finish slots (max after the run).
   std::vector<sim::Time> ends(static_cast<std::size_t>(cluster.size()), 0);
   auto node = [](mp::Endpoint& ep, coll::ScatterAlg a, std::int64_t sz,
                  int nranks, sim::Time& start, sim::Time& end) -> Task<> {
@@ -49,7 +47,6 @@ double run_scatter(coll::ScatterAlg alg, std::int64_t bytes) {
     end = ep.engine().now();
   };
   for (topo::Rank r = 0; r < cluster.size(); ++r) {
-    sim::LpScope scope(cluster.engine(), cluster.lp_of(r));
     node(*eps[static_cast<std::size_t>(r)], alg, bytes,
          static_cast<int>(cluster.size()), t0,
          ends[static_cast<std::size_t>(r)])

@@ -16,45 +16,30 @@
 
 #include <cstdint>
 
-#include "chk/parallel.hpp"
-
 namespace meshmp::buf {
 
-/// Point-in-time snapshot of the modeled copy charges (by value: the live
-/// tally is charged from every logical process, so callers get a coherent
-/// copy instead of a reference into shared counters).
+/// Process-wide tally of the modeled copy charges.
 struct CopyStats {
   std::uint64_t copies = 0;  ///< number of charge_copy calls
   std::uint64_t bytes = 0;   ///< total bytes charged
 };
 
 namespace detail {
-/// The live tally. chk::SharedCount64: rx-ISR gather and socket drains
-/// charge copies on their nodes' LPs, concurrently during parallel windows.
-struct CopyTally {
-  chk::SharedCount64 copies;
-  chk::SharedCount64 bytes;
-};
-CopyTally& copy_tally() noexcept;
+CopyStats& copy_tally() noexcept;
 }  // namespace detail
 
 [[nodiscard]] inline CopyStats copy_stats() noexcept {
-  auto& t = detail::copy_tally();
-  return {t.copies.load(), t.bytes.load()};
+  return detail::copy_tally();
 }
-inline void reset_copy_stats() noexcept {
-  auto& t = detail::copy_tally();
-  t.copies.store(0);
-  t.bytes.store(0);
-}
+inline void reset_copy_stats() noexcept { detail::copy_tally() = {}; }
 
 /// Charge one modeled copy of `bytes` to `charger` (awaitable). `hot` is the
 /// model's cache-residency hint, passed through unchanged.
 template <typename Charger>
 auto charge_copy(Charger& charger, std::int64_t bytes, bool hot) {
   auto& t = detail::copy_tally();
-  t.copies.add(1);
-  t.bytes.add(static_cast<std::uint64_t>(bytes));
+  ++t.copies;
+  t.bytes += static_cast<std::uint64_t>(bytes);
   if constexpr (requires { charger.spend_copy(bytes, hot); }) {
     return charger.spend_copy(bytes, hot);
   } else {

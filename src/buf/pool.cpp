@@ -192,7 +192,7 @@ Slice::Slice(const Slice& other) noexcept
       len_(other.len_),
       crc_(other.crc_),
       crc_known_(other.crc_known_) {
-  if (ctrl_ != nullptr) ctrl_->refs.add(1);
+  if (ctrl_ != nullptr) ++ctrl_->refs;
 }
 
 Slice::Slice(Slice&& other) noexcept
@@ -204,7 +204,7 @@ Slice::Slice(Slice&& other) noexcept
 
 Slice& Slice::operator=(const Slice& other) noexcept {
   if (this == &other) return *this;
-  if (other.ctrl_ != nullptr) other.ctrl_->refs.add(1);
+  if (other.ctrl_ != nullptr) ++other.ctrl_->refs;
   release();
   ctrl_ = other.ctrl_;
   off_ = other.off_;
@@ -226,7 +226,7 @@ Slice& Slice::operator=(Slice&& other) noexcept {
 }
 
 void Slice::release() noexcept {
-  if (ctrl_ != nullptr && ctrl_->refs.sub(1) == 0) {
+  if (ctrl_ != nullptr && --ctrl_->refs == 0) {
     Pool::instance().retire(ctrl_);
   }
   ctrl_ = nullptr;
@@ -238,7 +238,7 @@ void Slice::release() noexcept {
 Slice Slice::subslice(std::size_t off, std::size_t len) const {
   if (len == 0 || ctrl_ == nullptr) return {};
   if (off == 0 && len == len_) return *this;  // keeps the CRC memo
-  ctrl_->refs.add(1);
+  ++ctrl_->refs;
   return {ctrl_, off_ + off, len};
 }
 
@@ -290,7 +290,6 @@ Pool::Pool()
           "buf.pool", [this] { audit_outstanding(); })) {}
 
 void Pool::audit_outstanding() const {
-  chk::SimLockGuard g(pool_mu_);
   if (outstanding_ != 0) {
     chk::Audit::instance().fail(
         "buf.pool", std::to_string(outstanding_) +
@@ -299,22 +298,16 @@ void Pool::audit_outstanding() const {
 }
 
 Buffer Pool::get(std::size_t bytes) {
-  std::vector<std::byte> v;
-  {
-    chk::SimLockGuard g(pool_mu_);
-    v = obtain(bytes);
-    ++outstanding_;
-  }
+  std::vector<std::byte> v = obtain(bytes);
+  ++outstanding_;
   // Zero-fill recycled storage so stale bytes can never leak into a fresh
   // message; also preserves the seed's "reassembly starts zeroed" behavior.
-  // Host byte work happens outside the pool lock.
   v.assign(bytes, std::byte{0});
   return Buffer(std::move(v));
 }
 
 Slice Pool::stage(std::span<const std::byte> src) {
   if (src.empty()) return {};
-  chk::SimLockGuard g(pool_mu_);
   std::vector<std::byte> v = obtain(src.size());
   v.assign(src.begin(), src.end());
   return wrap(std::move(v));
@@ -322,7 +315,6 @@ Slice Pool::stage(std::span<const std::byte> src) {
 
 Slice Pool::adopt(std::vector<std::byte> v) {
   if (v.empty()) return {};
-  chk::SimLockGuard g(pool_mu_);
   ++stats_.adopts;
   return wrap(std::move(v));
 }
@@ -352,35 +344,30 @@ void Pool::recycle(std::vector<std::byte> v) noexcept {
 
 Slice Pool::wrap(std::vector<std::byte> v) {
   std::size_t n = v.size();
-  auto* ctrl = new detail::Ctrl{std::move(v), chk::SharedCount{1}};
+  auto* ctrl = new detail::Ctrl{std::move(v), 1};
   ++outstanding_;
   return {ctrl, 0, n};
 }
 
 void Pool::retire(detail::Ctrl* ctrl) noexcept {
-  {
-    chk::SimLockGuard g(pool_mu_);
-    recycle(std::move(ctrl->bytes));
-    --outstanding_;
-  }
+  recycle(std::move(ctrl->bytes));
+  --outstanding_;
   delete ctrl;
 }
 
 void Pool::give_back(std::vector<std::byte> v) noexcept {
-  chk::SimLockGuard g(pool_mu_);
   recycle(std::move(v));
   --outstanding_;
 }
 
 void Pool::disown_one() noexcept {
-  chk::SimLockGuard g(pool_mu_);
   --outstanding_;
 }
 
 // --- copy accounting (declared in copy.hpp) --------------------------------
 
-detail::CopyTally& detail::copy_tally() noexcept {
-  static CopyTally tally;
+CopyStats& detail::copy_tally() noexcept {
+  static CopyStats tally;
   return tally;
 }
 

@@ -22,12 +22,7 @@
 //
 // Storage vectors are recycled through per-capacity-class free lists
 // (class k holds capacities in [2^k, 2^(k+1))), so steady-state traffic
-// performs no heap allocation for payload bytes. The pool is process-wide
-// shared state under the PDES engine, so the free lists, the outstanding
-// count and the stats are guarded by pool_mu_ (a zero-cost chk::SimLock in
-// the sequential engine). Slice refcounts are chk::SharedCount: payload
-// views of a forwarded frame cross logical processes, so bumps and releases
-// can happen from different workers inside one parallel window.
+// performs no heap allocation for payload bytes.
 //
 // A chk::Audit validator ("buf.pool") reports any Buffer or Slice not
 // returned at quiesce, catching leaked references in protocol state.
@@ -39,8 +34,6 @@
 #include <vector>
 
 #include "chk/audit.hpp"
-#include "chk/parallel.hpp"
-#include "chk/thread_annotations.hpp"
 
 namespace meshmp::buf {
 
@@ -52,13 +45,10 @@ class Pool;
 class Buffer;
 
 namespace detail {
-/// Shared storage block behind one or more Slices. The refcount is a
-/// chk::SharedCount: a forwarded frame's payload view crosses logical
-/// processes, so copies and releases can race during a parallel window
-/// (plain increments in the sequential engine, atomics under mt_active).
+/// Shared storage block behind one or more Slices.
 struct Ctrl {
   std::vector<std::byte> bytes;
-  chk::SharedCount refs;
+  std::uint32_t refs = 0;
 };
 }  // namespace detail
 
@@ -155,7 +145,6 @@ class Buffer {
 
 /// Process-wide storage pool. Deterministic: pool state never feeds back
 /// into simulation decisions, only into host allocation.
-// meshmp-lint: shared-state
 class Pool {
  public:
   static Pool& instance();
@@ -174,7 +163,6 @@ class Pool {
   /// Buffers plus storage blocks currently out of the pool. Zero at quiesce
   /// when no protocol state leaks references (audited as "buf.pool").
   [[nodiscard]] std::size_t outstanding() const noexcept {
-    chk::SimLockGuard g(pool_mu_);
     return outstanding_;
   }
 
@@ -183,10 +171,7 @@ class Pool {
     std::uint64_t pool_misses = 0;  ///< storage freshly allocated
     std::uint64_t adopts = 0;       ///< vectors adopted without copy
   };
-  [[nodiscard]] Stats stats() const noexcept {
-    chk::SimLockGuard g(pool_mu_);
-    return stats_;
-  }
+  [[nodiscard]] Stats stats() const noexcept { return stats_; }
 
  private:
   friend class Slice;
@@ -194,30 +179,28 @@ class Pool {
 
   Pool();
 
-  /// Quiesce validator body (named so the analysis sees the acquisition).
+  /// Quiesce validator body.
   void audit_outstanding() const;
 
   /// A vector with capacity >= bytes and unspecified size/contents.
-  std::vector<std::byte> obtain(std::size_t bytes) MESHMP_REQUIRES(pool_mu_);
-  void recycle(std::vector<std::byte> v) noexcept MESHMP_REQUIRES(pool_mu_);
-  Slice wrap(std::vector<std::byte> v) MESHMP_REQUIRES(pool_mu_);
+  std::vector<std::byte> obtain(std::size_t bytes);
+  void recycle(std::vector<std::byte> v) noexcept;
+  Slice wrap(std::vector<std::byte> v);
   /// Drops the last reference's storage back into the free lists.
   void retire(detail::Ctrl* ctrl) noexcept;
-  /// Returns a live Buffer's storage at teardown (locked recycle).
+  /// Returns a live Buffer's storage at teardown.
   void give_back(std::vector<std::byte> v) noexcept;
   /// Removes one buffer from the outstanding count without returning its
   /// storage — Buffer::release() steals the bytes.
   void disown_one() noexcept;
 
-  mutable chk::SimLock pool_mu_;
   // Free lists bucketed by capacity class: free_[k] holds vectors whose
   // capacity is in [2^k, 2^(k+1)), so any entry satisfies requests <= 2^k.
   static constexpr std::size_t kClasses = 48;
   static constexpr std::size_t kMaxFreePerClass = 64;
-  std::array<std::vector<std::vector<std::byte>>, kClasses> free_
-      MESHMP_GUARDED_BY(pool_mu_){};
-  std::size_t outstanding_ MESHMP_GUARDED_BY(pool_mu_) = 0;
-  Stats stats_ MESHMP_GUARDED_BY(pool_mu_){};
+  std::array<std::vector<std::vector<std::byte>>, kClasses> free_{};
+  std::size_t outstanding_ = 0;
+  Stats stats_{};
   chk::Audit::Registration audit_reg_;
 };
 

@@ -18,51 +18,36 @@ void Audit::Registration::release() noexcept {
 }
 
 void Audit::unwatch(std::uint64_t id) noexcept {
-  chk::SimLockGuard g(audit_mu_);
   entries_.erase(id);
 }
 
 Audit::Registration Audit::watch(std::string label, Validator validator) {
-  chk::SimLockGuard g(audit_mu_);
   const std::uint64_t id = next_id_++;
   entries_.emplace(id, Entry{std::move(label), std::move(validator)});
   return Registration{id};
 }
 
 std::size_t Audit::quiesce() {
-  // Snapshot the ids under the lock, then run each validator outside it:
-  // validators call fail() (which re-acquires the lock) and object teardown
-  // inside a handler may unregister, so neither may run under audit_mu_.
-  std::size_t before = 0;
+  // Snapshot the ids, then look each one up again before calling it: object
+  // teardown inside a validator or handler may unregister entries mid-sweep.
+  const std::size_t before = violations_.size();
   std::vector<std::uint64_t> ids;
-  {
-    chk::SimLockGuard g(audit_mu_);
-    before = violations_.size();
-    ids.reserve(entries_.size());
-    for (const auto& [id, entry] : entries_) ids.push_back(id);
-  }
+  ids.reserve(entries_.size());
+  for (const auto& [id, entry] : entries_) ids.push_back(id);
   for (std::uint64_t id : ids) {
-    Validator v;
-    {
-      chk::SimLockGuard g(audit_mu_);
-      auto it = entries_.find(id);
-      if (it == entries_.end()) continue;  // unregistered mid-sweep
-      v = it->second.validator;
-    }
+    auto it = entries_.find(id);
+    if (it == entries_.end()) continue;  // unregistered mid-sweep
+    Validator v = it->second.validator;
     v();
   }
-  chk::SimLockGuard g(audit_mu_);
   return violations_.size() - before;
 }
 
 void Audit::fail(std::string label, std::string message) {
   Violation v{std::move(label), std::move(message)};
-  Handler h;
-  {
-    chk::SimLockGuard g(audit_mu_);
-    violations_.push_back(v);
-    h = handler_;
-  }
+  violations_.push_back(v);
+  // A copy: the handler may swap itself out while it runs.
+  Handler h = handler_;
   if (h) {
     h(v);
     return;
@@ -73,7 +58,6 @@ void Audit::fail(std::string label, std::string message) {
 }
 
 Audit::Handler Audit::exchange_handler(Handler h) {
-  chk::SimLockGuard g(audit_mu_);
   Handler old = std::move(handler_);
   handler_ = std::move(h);
   return old;

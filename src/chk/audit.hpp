@@ -22,8 +22,6 @@
 #include <utility>
 #include <vector>
 
-#include "chk/thread_annotations.hpp"
-
 namespace meshmp::chk {
 
 /// One detected invariant violation.
@@ -32,12 +30,9 @@ struct Violation {
   std::string message;  ///< what broke, with the observed values
 };
 
-/// Process-wide validator registry. The entry table, violation log and
-/// failure handler are guarded by audit_mu_ (a zero-cost chk::SimLock until
-/// the PDES engine lands); validators and handlers always run *outside* the
-/// lock so they can re-enter fail()/unwatch() without self-deadlocking once
-/// the lock is real.
-// meshmp-lint: shared-state
+/// Process-wide validator registry. Validators and handlers may re-enter
+/// fail()/unwatch(), so quiesce() sweeps a snapshot of the registered ids
+/// and fail() calls a copy of the handler.
 class Audit {
  public:
   static Audit& instance();
@@ -88,16 +83,11 @@ class Audit {
   /// default handler prints a labelled report and aborts.
   void fail(std::string label, std::string message);
 
-  /// The recorded violations. Reading the returned reference is the calling
-  /// partition's to serialize (test-only accessor).
+  /// The recorded violations (test-only accessor).
   [[nodiscard]] const std::vector<Violation>& violations() const noexcept {
-    chk::SimLockGuard g(audit_mu_);
     return violations_;
   }
-  void clear_violations() {
-    chk::SimLockGuard g(audit_mu_);
-    violations_.clear();
-  }
+  void clear_violations() { violations_.clear(); }
 
   using Handler = std::function<void(const Violation&)>;
   /// Swaps the failure handler; returns the previous one (empty = default
@@ -112,18 +102,16 @@ class Audit {
 
   Audit() = default;
 
-  /// Locked unregistration (Registration::release goes through here so the
-  /// entry table is never touched without the capability).
+  /// Unregistration (Registration::release goes through here).
   void unwatch(std::uint64_t id) noexcept;
 
   static inline bool enabled_ = false;
 
-  mutable chk::SimLock audit_mu_;
-  std::uint64_t next_id_ MESHMP_GUARDED_BY(audit_mu_) = 1;
+  std::uint64_t next_id_ = 1;
   // ordered -> deterministic runs
-  std::map<std::uint64_t, Entry> entries_ MESHMP_GUARDED_BY(audit_mu_);
-  std::vector<Violation> violations_ MESHMP_GUARDED_BY(audit_mu_);
-  Handler handler_ MESHMP_GUARDED_BY(audit_mu_);
+  std::map<std::uint64_t, Entry> entries_;
+  std::vector<Violation> violations_;
+  Handler handler_;
 };
 
 /// Test helper: while alive, violations are recorded instead of aborting.

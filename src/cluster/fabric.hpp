@@ -12,7 +12,6 @@
 #include "hw/params.hpp"
 #include "net/link.hpp"
 #include "sim/engine.hpp"
-#include "sim/lp.hpp"
 #include "sim/rng.hpp"
 #include "topo/torus.hpp"
 
@@ -24,16 +23,10 @@ class MeshFabric {
              const hw::HostParams& host, const hw::NicParams& nic_params,
              const hw::BusParams& bus, const net::LinkParams& link,
              sim::Rng& rng) {
-    // In a partitioned engine node r's hardware lives on LP 1 + r: the
-    // LpScope binds every pump coroutine and timer the node spawns during
-    // construction to its own shard. Unpartitioned engines keep everything
-    // on the control LP.
-    const bool parted = eng.partitioned();
     nodes_.reserve(static_cast<std::size_t>(torus.size()));
     nic_index_.assign(static_cast<std::size_t>(torus.size()),
                       std::vector<int>(2 * topo::kMaxDims, -1));
     for (topo::Rank r = 0; r < torus.size(); ++r) {
-      sim::LpScope scope(eng, lp_of(parted, r));
       auto node = std::make_unique<hw::NodeHw>(eng, r, host, bus);
       for (topo::Dir d : torus.directions(torus.coord(r))) {
         node->add_nic(nic_params, link, rng.fork(),
@@ -43,13 +36,11 @@ class MeshFabric {
       }
       nodes_.push_back(std::move(node));
     }
-    // Each (node, dir) port connects to the neighbour's opposite port; the
-    // propagation hop targets the neighbour's LP.
+    // Each (node, dir) port connects to the neighbour's opposite port.
     for (topo::Rank r = 0; r < torus.size(); ++r) {
       for (topo::Dir d : torus.directions(torus.coord(r))) {
         auto n = torus.neighbor(r, d);
-        nic(r, d).set_peer(nic(*n, d.opposite()).rx_entry(),
-                           lp_of(parted, *n));
+        nic(r, d).set_peer(nic(*n, d.opposite()).rx_entry());
       }
     }
   }
@@ -64,11 +55,6 @@ class MeshFabric {
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
-
-  /// LP owning rank r's hardware: 1 + r when partitioned, control otherwise.
-  [[nodiscard]] static sim::LpId lp_of(bool partitioned, topo::Rank r) {
-    return partitioned ? static_cast<sim::LpId>(1 + r) : sim::kControlLp;
-  }
 
  private:
   std::vector<std::unique_ptr<hw::NodeHw>> nodes_;

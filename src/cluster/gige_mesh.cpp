@@ -6,21 +6,14 @@ namespace meshmp::cluster {
 
 GigeMeshCluster::GigeMeshCluster(GigeMeshConfig cfg)
     : cfg_(cfg), torus_(cfg.shape, cfg.wrap) {
-  if (cfg_.threads > 0) {
-    // One LP per node plus the control LP; the cable propagation delay is
-    // the minimum cross-LP latency and therefore the lookahead. Digests are
-    // kept on so the CI matrix can compare runs across thread counts.
-    eng_.partition(1 + static_cast<std::uint32_t>(torus_.size()),
-                   cfg_.threads, cfg_.link.propagation);
-    eng_.enable_digest(true);
-  }
+  // A golden-transcript run hashes every event; plain runs stay hash-free.
+  if (chk::digest_out_path() != nullptr) eng_.enable_digest(true);
   digest_name_ = "cluster." + std::to_string(chk::next_digest_ordinal());
   sim::Rng master(cfg_.seed);
   fabric_ = std::make_unique<MeshFabric>(eng_, torus_, cfg_.host, cfg_.nic,
                                          cfg_.bus, cfg_.link, master);
   agents_.reserve(static_cast<std::size_t>(torus_.size()));
   for (topo::Rank r = 0; r < torus_.size(); ++r) {
-    sim::LpScope scope(eng_, lp_of(r));
     auto agent = std::make_unique<via::KernelAgent>(
         fabric_->node(r), torus_, r, cfg_.via, master.fork());
     for (topo::Dir d : torus_.directions(torus_.coord(r))) {

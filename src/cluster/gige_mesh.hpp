@@ -14,7 +14,6 @@
 #include "hw/node.hpp"
 #include "hw/params.hpp"
 #include "sim/engine.hpp"
-#include "sim/lp.hpp"
 #include "sim/rng.hpp"
 #include "sim/task.hpp"
 #include "topo/torus.hpp"
@@ -31,11 +30,6 @@ struct GigeMeshConfig {
   net::LinkParams link = hw::gige_link_params();
   via::ViaParams via{};
   std::uint64_t seed = 1;
-  /// Engine worker threads (MESHMP_THREADS). 0 = legacy sequential engine;
-  /// >= 1 partitions the engine into one LP per node under conservative
-  /// windowed synchronization (1 is the single-threaded reference run of
-  /// the same algorithm — digests are identical at every value).
-  unsigned threads = sim::threads_from_env();
 };
 
 class GigeMeshCluster {
@@ -55,14 +49,6 @@ class GigeMeshCluster {
   /// The adapter of node `r` facing direction `dir`.
   [[nodiscard]] hw::Nic& nic(topo::Rank r, topo::Dir dir) {
     return fabric_->nic(r, dir);
-  }
-
-  /// LP owning rank r's events (control LP when not partitioned). Wrap
-  /// per-rank driver construction/spawning in LpScope(engine(), lp_of(r))
-  /// so its events land on the rank's own shard.
-  [[nodiscard]] sim::LpId lp_of(topo::Rank r) const noexcept {
-    return eng_.partitioned() ? static_cast<sim::LpId>(1 + r)
-                              : sim::kControlLp;
   }
 
   /// Detaches a node program onto the simulation.

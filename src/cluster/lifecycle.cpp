@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "buf/pool.hpp"
-#include "sim/lp.hpp"
 #include "sim/sync.hpp"
 #include "via/header.hpp"
 
@@ -93,9 +92,6 @@ void ClusterLifecycle::start() {
   cluster_.set_crash_hooks([this](topo::Rank r) { on_crash(r); },
                            [this](topo::Rank r) { on_restart(r); });
   for (topo::Rank r = 0; r < cluster_.size(); ++r) {
-    // Detector loops belong to their node's logical process: their timers and
-    // sends must shard with the node, not pile onto the control LP.
-    sim::LpScope scope(cluster_.engine(), cluster_.lp_of(r));
     heartbeat_loop(r, ctl_[idx(r)].gen).detach();
     monitor_loop(r, ctl_[idx(r)].gen).detach();
     accept_loop(r).detach();
@@ -152,7 +148,6 @@ void ClusterLifecycle::on_restart(topo::Rank r) {
   remote_degraded_[idx(r)].assign(idx(cluster_.size()), 0);
   ctl_[idx(r)].ls_pending.assign(idx(cluster_.size()), 0);
   ctl_[idx(r)].ls_any = false;
-  sim::LpScope scope(cluster_.engine(), cluster_.lp_of(r));
   heartbeat_loop(r, gen).detach();
   monitor_loop(r, gen).detach();
   rejoin(r, gen).detach();
@@ -238,17 +233,11 @@ sim::Task<> ClusterLifecycle::monitor_loop(topo::Rank r, std::uint64_t gen) {
       const sim::Duration silent = now - ctl.last_heard[idx(*n)];
       const double phi = phi_level(ctl, d.index(), silent);
       if (phi >= params_.phi_dead) {
-        {
-          chk::SimLockGuard g(shared_mu_);
-          phi_counters_.inc("dead_declared");
-        }
+        phi_counters_.inc("dead_declared");
         declare(r, *n, Liveness::kDead);
       } else if (phi >= params_.phi_suspect && st == Liveness::kAlive) {
         phi_suspect_hist_.add(static_cast<sim::Duration>(phi * 1000));
-        {
-          chk::SimLockGuard g(shared_mu_);
-          phi_counters_.inc("suspects");
-        }
+        phi_counters_.inc("suspects");
         declare(r, *n, Liveness::kSuspect);
       }
     }
@@ -258,10 +247,7 @@ sim::Task<> ClusterLifecycle::monitor_loop(topo::Rank r, std::uint64_t gen) {
       const auto deg = static_cast<topo::DirMask>(lq.degraded_mask());
       const auto blk = static_cast<topo::DirMask>(lq.black_mask());
       ag.set_quality_masks(deg, blk);
-      {
-        chk::SimLockGuard g(shared_mu_);
-        score_counters_.inc("mask_updates");
-      }
+      score_counters_.inc("mask_updates");
       process_link_record(r, LinkRecord{r, static_cast<std::uint32_t>(
                                                deg | blk),
                                         ++ctl.link_version});
@@ -397,7 +383,6 @@ void ClusterLifecycle::on_heartbeat(topo::Rank observer, topo::Rank src,
       if (h.msg_id == dh.last_probe_msg) {
         // A flaky wire duplicated the probe frame in flight; the first
         // arrival already fed the window and was acked.
-        chk::SimLockGuard g(shared_mu_);
         phi_counters_.inc("dup_probes_ignored");
         return;
       }
@@ -418,10 +403,7 @@ void ClusterLifecycle::on_heartbeat(topo::Rank observer, topo::Rank src,
   ctl.last_heard[idx(src)] = now;
   // A heartbeat refutes suspicion directly; death needs the rejoin protocol.
   if (views_[idx(observer)].at(src).state == Liveness::kSuspect) {
-    {
-      chk::SimLockGuard g(shared_mu_);
-      phi_counters_.inc("refutations");
-    }
+    phi_counters_.inc("refutations");
     declare(observer, src, Liveness::kAlive);
   }
 }
@@ -445,10 +427,7 @@ void ClusterLifecycle::on_heartbeat_ack(topo::Rank observer, topo::Rank src,
   // never condemned.
   ctl.last_heard[idx(src)] = now;
   if (views_[idx(observer)].at(src).state == Liveness::kSuspect) {
-    {
-      chk::SimLockGuard g(shared_mu_);
-      phi_counters_.inc("refutations");
-    }
+    phi_counters_.inc("refutations");
     declare(observer, src, Liveness::kAlive);
   }
 }
@@ -477,10 +456,7 @@ void ClusterLifecycle::process_link_record(topo::Rank observer,
   ctl.routes_dirty = true;
   ctl.ls_pending[idx(rec.rank)] = 1;
   ctl.ls_any = true;
-  {
-    chk::SimLockGuard g(shared_mu_);
-    score_counters_.inc("linkstate_applied");
-  }
+  score_counters_.inc("linkstate_applied");
 }
 
 void ClusterLifecycle::on_membership_frame(topo::Rank observer,
@@ -556,7 +532,6 @@ void ClusterLifecycle::process_record(topo::Rank observer,
     // reach the reconciled side.
     push_view(observer, rec.rank);
   }
-  chk::SimLockGuard g(shared_mu_);
   if (heal_start_ >= 0 && heal_pending_[idx(observer)] &&
       view.count(Liveness::kDead) == 0) {
     heal_pending_[idx(observer)] = false;
@@ -580,7 +555,6 @@ void ClusterLifecycle::refresh_routes(topo::Rank observer) {
     // Quality-aware table: among minimal paths, dodge links whose owners
     // flooded them as degraded/black.
     ag.set_route_table(t.route_table_avoiding(observer, dead, degraded));
-    chk::SimLockGuard g(shared_mu_);
     score_counters_.inc("quality_route_refreshes");
   } else {
     ag.set_route_table(t.route_table_avoiding(observer, dead));
@@ -598,14 +572,10 @@ void ClusterLifecycle::update_quorum(topo::Rank r) {
   if (s == QuorumSide::kMinority) {
     minority_since_[idx(r)] = now;
     ag.set_minority(true);
-    chk::SimLockGuard g(shared_mu_);
     counters_.inc("minority_transitions");
   } else {
     ag.set_minority(false);
-    {
-      chk::SimLockGuard g(shared_mu_);
-      counters_.inc("primary_restorations");
-    }
+    counters_.inc("primary_restorations");
     if (minority_since_[idx(r)] >= 0) {
       partition_duration_hist_.add(now - minority_since_[idx(r)]);
       minority_since_[idx(r)] = -1;
@@ -622,18 +592,15 @@ void ClusterLifecycle::on_carrier_up(topo::Rank r, topo::Dir d) {
   // A link coming back up toward a believed-dead rank is heal evidence —
   // either a partition heal or a node restart; both converge through the
   // same flood merge, so both feed the heal-convergence histogram.
-  {
-    chk::SimLockGuard g(shared_mu_);
-    counters_.inc("carrier_heal_events");
-    if (heal_start_ < 0) {
-      heal_start_ = cluster_.engine().now();
-      heal_remaining_ = 0;
-      for (topo::Rank q = 0; q < cluster_.size(); ++q) {
-        const bool pending = cluster_.agent(q).powered() &&
-                             views_[idx(q)].count(Liveness::kDead) > 0;
-        heal_pending_[idx(q)] = pending;
-        if (pending) ++heal_remaining_;
-      }
+  counters_.inc("carrier_heal_events");
+  if (heal_start_ < 0) {
+    heal_start_ = cluster_.engine().now();
+    heal_remaining_ = 0;
+    for (topo::Rank q = 0; q < cluster_.size(); ++q) {
+      const bool pending = cluster_.agent(q).powered() &&
+                           views_[idx(q)].count(Liveness::kDead) > 0;
+      heal_pending_[idx(q)] = pending;
+      if (pending) ++heal_remaining_;
     }
   }
   if (side_[idx(r)] == QuorumSide::kMinority) {
@@ -650,10 +617,7 @@ void ClusterLifecycle::on_reconcile(topo::Rank r, std::uint64_t gen) {
   via::KernelAgent& ag = cluster_.agent(r);
   if (!ag.powered()) return;
   ctl.reconcile_gen = gen;
-  {
-    chk::SimLockGuard g(shared_mu_);
-    counters_.inc("reconcile_waves");
-  }
+  counters_.inc("reconcile_waves");
   if (side_[idx(r)] == QuorumSide::kMinority) partition_rejoin(r);
   // Re-flood so the wave reaches minority nodes with no healed link of
   // their own. Runs after partition_rejoin: a reconciled node's route
@@ -670,10 +634,7 @@ void ClusterLifecycle::on_reconcile(topo::Rank r, std::uint64_t gen) {
 void ClusterLifecycle::partition_rejoin(topo::Rank r) {
   via::KernelAgent& ag = cluster_.agent(r);
   const sim::Time now = cluster_.engine().now();
-  {
-    chk::SimLockGuard g(shared_mu_);
-    counters_.inc("partition_rejoins");
-  }
+  counters_.inc("partition_rejoins");
   // 1. Flush every VI under a bumped incarnation epoch: stale retransmits
   //    and half-open channels from the partition era identify themselves
   //    against the new epoch instead of corrupting fresh traffic.
@@ -695,13 +656,10 @@ void ClusterLifecycle::partition_rejoin(topo::Rank r) {
   //    quorum flips back and the minority send/dial gates lift.
   refresh_routes(r);
   update_quorum(r);
-  {
-    chk::SimLockGuard g(shared_mu_);
-    if (heal_start_ >= 0 && heal_pending_[idx(r)]) {
-      heal_pending_[idx(r)] = false;
-      heal_conv_hist_.add(now - heal_start_);
-      if (--heal_remaining_ == 0) heal_start_ = -1;
-    }
+  if (heal_start_ >= 0 && heal_pending_[idx(r)]) {
+    heal_pending_[idx(r)] = false;
+    heal_conv_hist_.add(now - heal_start_);
+    if (--heal_remaining_ == 0) heal_start_ = -1;
   }
   // 4. The rejoin machinery under the bumped epoch: kRejoining flood,
   //    fresh-epoch handshakes with every neighbour, kAlive flood.
@@ -711,10 +669,7 @@ void ClusterLifecycle::partition_rejoin(topo::Rank r) {
 void ClusterLifecycle::push_view(topo::Rank from, topo::Rank to) {
   via::KernelAgent& ag = cluster_.agent(from);
   if (!ag.powered()) return;
-  {
-    chk::SimLockGuard g(shared_mu_);
-    counters_.inc("view_pushes");
-  }
+  counters_.inc("view_pushes");
   // Batched so each control frame stays under the wire MTU.
   constexpr std::size_t kBatch = 64;
   const MembershipView& v = views_[idx(from)];

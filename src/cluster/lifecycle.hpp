@@ -67,7 +67,6 @@
 #include <optional>
 #include <vector>
 
-#include "chk/thread_annotations.hpp"
 #include "cluster/gige_mesh.hpp"
 #include "cluster/membership.hpp"
 #include "net/quality.hpp"
@@ -281,26 +280,19 @@ class ClusterLifecycle {
 
   std::vector<QuorumSide> side_;         ///< per node, from its own view
   std::vector<sim::Time> minority_since_;  ///< -1 while primary
-  /// Guards the cross-node tallies below: per-node state (views_, ctl_,
-  /// side_) is only ever touched from its own rank's logical process, but
-  /// the partition counters and heal-convergence tracking are written by
-  /// whichever rank's transition fires, concurrently during parallel
-  /// windows. Zero-cost in the sequential engine.
-  mutable chk::SimLock shared_mu_;
   /// Heal-convergence tracking: set at the first carrier-up heal evidence of
   /// a cycle, cleared when every pending node's view is dead-free again.
-  sim::Time heal_start_ MESHMP_GUARDED_BY(shared_mu_) = -1;
-  std::vector<bool> heal_pending_ MESHMP_GUARDED_BY(shared_mu_);
-  int heal_remaining_ MESHMP_GUARDED_BY(shared_mu_) = 0;
-  /// "cluster.partition.*" — inc'd under shared_mu_; the registry reads it
-  /// from the host between runs, so the accessor stays lock-free.
+  sim::Time heal_start_ = -1;
+  std::vector<bool> heal_pending_;
+  int heal_remaining_ = 0;
+  /// "cluster.partition.*" transition tallies.
   obs::Counters counters_;
   obs::Registry::Registration counters_reg_;
   obs::Histogram& partition_duration_hist_;  ///< minority entry -> primary, ns
   obs::Histogram& heal_conv_hist_;  ///< heal evidence -> dead-free view, ns
 
   // -- gray-failure state ---------------------------------------------------
-  /// Per-node port-quality trackers; only touched from the owning rank's LP.
+  /// Per-node port-quality trackers.
   std::vector<net::LinkQuality> quality_;
   /// link_seen_[observer][subject]: highest LinkRecord version applied — the
   /// kLinkState flood-termination gate, per (observer, subject).
@@ -308,8 +300,7 @@ class ClusterLifecycle {
   /// remote_degraded_[observer][subject]: observer's belief of subject's
   /// degraded|black egress mask; the `degraded` input to route recompute.
   std::vector<std::vector<topo::DirMask>> remote_degraded_;
-  /// "cluster.phi.*" / "net.link.score.*" — inc'd under shared_mu_ like the
-  /// partition counters; accessors stay lock-free (host reads between runs).
+  /// "cluster.phi.*" / "net.link.score.*" detector and scoring tallies.
   obs::Counters phi_counters_;
   obs::Registry::Registration phi_reg_;
   obs::Counters score_counters_;

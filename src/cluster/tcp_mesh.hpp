@@ -10,7 +10,6 @@
 #include "chk/digest_out.hpp"
 #include "cluster/fabric.hpp"
 #include "sim/engine.hpp"
-#include "sim/lp.hpp"
 #include "tcpstack/stack.hpp"
 #include "topo/torus.hpp"
 
@@ -25,26 +24,19 @@ struct TcpMeshConfig {
   net::LinkParams link = hw::gige_link_params();
   tcpstack::TcpParams tcp{};
   std::uint64_t seed = 1;
-  /// Engine worker threads (MESHMP_THREADS); see GigeMeshConfig::threads.
-  unsigned threads = sim::threads_from_env();
 };
 
 class TcpMeshCluster {
  public:
   explicit TcpMeshCluster(TcpMeshConfig cfg)
       : cfg_(cfg), torus_(cfg.shape, cfg.wrap) {
-    if (cfg_.threads > 0) {
-      eng_.partition(1 + static_cast<std::uint32_t>(torus_.size()),
-                     cfg_.threads, cfg_.link.propagation);
-      eng_.enable_digest(true);
-    }
+    if (chk::digest_out_path() != nullptr) eng_.enable_digest(true);
     digest_name_ = "cluster." + std::to_string(chk::next_digest_ordinal());
     sim::Rng master(cfg_.seed);
     fabric_ = std::make_unique<MeshFabric>(eng_, torus_, cfg_.host, cfg_.nic,
                                            cfg_.bus, cfg_.link, master);
     stacks_.reserve(static_cast<std::size_t>(torus_.size()));
     for (topo::Rank r = 0; r < torus_.size(); ++r) {
-      sim::LpScope scope(eng_, lp_of(r));
       auto stack = std::make_unique<tcpstack::TcpStack>(fabric_->node(r),
                                                         torus_, r, cfg_.tcp);
       for (topo::Dir d : torus_.directions(torus_.coord(r))) {
@@ -66,12 +58,6 @@ class TcpMeshCluster {
   }
   [[nodiscard]] hw::Nic& nic(topo::Rank r, topo::Dir dir) {
     return fabric_->nic(r, dir);
-  }
-
-  /// LP owning rank r's events; see GigeMeshCluster::lp_of.
-  [[nodiscard]] sim::LpId lp_of(topo::Rank r) const noexcept {
-    return eng_.partitioned() ? static_cast<sim::LpId>(1 + r)
-                              : sim::kControlLp;
   }
 
   void run() { eng_.run(); }

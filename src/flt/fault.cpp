@@ -381,8 +381,7 @@ void Injector::apply(const FaultEvent& ev) {
       break;
     case FaultEvent::Kind::kDegradeStart: {
       // A failing cable degrades both directions; apply to the tx params of
-      // the adapters on both ends. Propagation only ever *increases* here,
-      // which keeps the cross-LP lookahead (= nominal propagation) sound.
+      // the adapters on both ends. Propagation only ever *increases* here.
       const auto degrade_port = [&](topo::Rank node, topo::Dir dir) {
         net::LinkParams& w = cluster_.nic(node, dir).wire_params();
         saved_wire_.emplace(port_key(node, dir),

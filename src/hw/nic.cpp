@@ -221,8 +221,7 @@ sim::Task<> Nic::wire_pump() {
     sim::Duration extra = 0;
     if (wire_.reorder_prob > 0 && rng_.bernoulli(wire_.reorder_prob)) {
       // Flaky PHY holds the frame in its elastic buffer: it lands behind
-      // younger traffic. The extra delay only ever adds to propagation, so
-      // the conservative lookahead (= propagation) stays sound.
+      // younger traffic.
       extra = wire_.reorder_delay;
       counters_.inc("wire_reordered");
       MESHMP_TRACE_INSTANT(cpu_.engine(), obs::Cat::kNic, node_,
@@ -235,16 +234,13 @@ sim::Task<> Nic::wire_pump() {
       net::Frame dup = f;
       counters_.inc("wire_duplicated");
       MESHMP_TRACE_INSTANT(cpu_.engine(), obs::Cat::kNic, node_, "wire_dup");
-      cpu_.engine().schedule_to(
-          peer_lp_, wire_.propagation + extra,
+      cpu_.engine().schedule(
+          wire_.propagation + extra,
           [this, dup = std::move(dup)]() mutable { peer_(std::move(dup)); },
           "wire");
     }
-    // Propagation is the cross-LP seam: the peer NIC lives on its own
-    // logical process, and the cable delay is the engine's lookahead, so
-    // this hop is what makes the conservative window sound.
-    cpu_.engine().schedule_to(
-        peer_lp_, wire_.propagation + extra,
+    cpu_.engine().schedule(
+        wire_.propagation + extra,
         [this, f = std::move(f)]() mutable { peer_(std::move(f)); }, "wire");
   }
 }

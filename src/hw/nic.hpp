@@ -77,14 +77,8 @@ class Nic {
   Nic& operator=(const Nic&) = delete;
 
   /// Connects the far end of the cable (usually the peer NIC's rx_entry()).
-  /// `peer_lp` is the logical process owning the peer node; the propagation
-  /// hop is the one place frames cross LPs in a partitioned engine, and the
-  /// cable delay is exactly the engine's lookahead. Leave it defaulted for
-  /// unpartitioned engines (every event is on the control LP anyway).
-  void set_peer(std::function<void(net::Frame)> peer,
-                sim::LpId peer_lp = sim::kControlLp) {
+  void set_peer(std::function<void(net::Frame)> peer) {
     peer_ = std::move(peer);
-    peer_lp_ = peer_lp;
   }
 
   /// Receive-side entry, to be handed to the peer as its tx sink.
@@ -176,7 +170,6 @@ class Nic {
   net::NodeId node_;
 
   std::function<void(net::Frame)> peer_;
-  sim::LpId peer_lp_ = sim::kControlLp;
   NicDriver* driver_ = nullptr;
 
   sim::Queue<net::Frame> tx_ring_;

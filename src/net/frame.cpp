@@ -3,7 +3,6 @@
 #include <new>
 
 #include "buf/pool.hpp"
-#include "chk/thread_annotations.hpp"
 
 namespace meshmp::net {
 
@@ -21,22 +20,16 @@ struct MetaBlock {
   MetaBlock* next;
 };
 
-// Guarded the same way as buf::Pool: a zero-cost chk::SimLock seam that a
-// future multicore PDES engine turns into a real mutex.
-chk::SimLock g_meta_mu;
-MetaBlock* g_meta_free MESHMP_GUARDED_BY(g_meta_mu) = nullptr;
+MetaBlock* g_meta_free = nullptr;
 
 }  // namespace
 
 void* meta_alloc(std::size_t bytes) {
   if (bytes > kMetaBlockBytes) return ::operator new(bytes);
-  {
-    chk::SimLockGuard g(g_meta_mu);
-    if (g_meta_free != nullptr) {
-      MetaBlock* b = g_meta_free;
-      g_meta_free = b->next;
-      return b;
-    }
+  if (g_meta_free != nullptr) {
+    MetaBlock* b = g_meta_free;
+    g_meta_free = b->next;
+    return b;
   }
   return ::operator new(kMetaBlockBytes);
 }
@@ -48,7 +41,6 @@ void meta_free(void* p, std::size_t bytes) noexcept {
     return;
   }
   auto* b = static_cast<MetaBlock*>(p);
-  chk::SimLockGuard g(g_meta_mu);
   b->next = g_meta_free;
   g_meta_free = b;
 }

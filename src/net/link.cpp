@@ -57,13 +57,13 @@ sim::Task<> SimplexPipe::pump() {
       // Flaky retransmitting PHY: the far end sees the frame twice.
       Frame dup = f;
       counters_.inc("duplicated");
-      eng_.schedule_to(
-          sink_lp_, params_.propagation + extra,
+      eng_.schedule(
+          params_.propagation + extra,
           [this, dup = std::move(dup)]() mutable { sink_(std::move(dup)); },
           "wire");
     }
-    eng_.schedule_to(
-        sink_lp_, params_.propagation + extra,
+    eng_.schedule(
+        params_.propagation + extra,
         [this, f = std::move(f)]() mutable { sink_(std::move(f)); }, "wire");
   }
 }

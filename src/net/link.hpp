@@ -38,8 +38,8 @@ struct LinkParams {
   /// burn zero draws while the probability is 0.
   double dup_prob = 0.0;
   double reorder_prob = 0.0;
-  /// Extra propagation applied to a reordered frame (always >= 0: added
-  /// latency keeps the cross-LP lookahead sound, shaving it would not).
+  /// Extra propagation applied to a reordered frame (>= 0: a reorder only
+  /// ever delays a frame).
   sim::Duration reorder_delay = 20'000;  // ns
 };
 
@@ -51,13 +51,8 @@ class SimplexPipe {
   SimplexPipe& operator=(const SimplexPipe&) = delete;
 
   /// Registers the receiver (the peer NIC's rx entry). Must be set before
-  /// the first frame arrives. `sink_lp` is the receiver's logical process
-  /// for partitioned engines (the propagation hop crosses LPs there).
-  void set_sink(std::function<void(Frame)> sink,
-                sim::LpId sink_lp = sim::kControlLp) {
-    sink_ = std::move(sink);
-    sink_lp_ = sink_lp;
-  }
+  /// the first frame arrives.
+  void set_sink(std::function<void(Frame)> sink) { sink_ = std::move(sink); }
 
   /// Queues a frame for transmission; frames serialize in FIFO order.
   void send(Frame f);
@@ -84,7 +79,6 @@ class SimplexPipe {
   std::string name_;
   sim::Queue<Frame> q_;
   std::function<void(Frame)> sink_;
-  sim::LpId sink_lp_ = sim::kControlLp;
   sim::Counters counters_;
   std::int64_t bytes_sent_ = 0;
   bool carrier_ = true;

@@ -29,7 +29,7 @@ std::pair<double, double> bucket_range(int k) {
 
 }  // namespace
 
-void Histogram::add_direct(std::int64_t value, std::int64_t weight) {
+void Histogram::add(std::int64_t value, std::int64_t weight) {
   if (weight <= 0) return;
   const auto w = static_cast<std::uint64_t>(weight);
   buckets_[bucket_of(value)] += w;
@@ -42,22 +42,6 @@ void Histogram::add_direct(std::int64_t value, std::int64_t weight) {
   }
   count_ += w;
   sum_ += value * weight;
-}
-
-void Histogram::set_shards(int nworkers) {
-  const int want = nworkers > 1 ? nworkers - 1 : 0;
-  if (want == nshards_) return;
-  shards_ = want > 0 ? std::make_unique<Histogram[]>(
-                           static_cast<std::size_t>(want))
-                     : nullptr;
-  nshards_ = want;
-}
-
-void Histogram::merge_shards() {
-  for (int i = 0; i < nshards_; ++i) {
-    merge(shards_[i]);
-    shards_[i] = Histogram{};
-  }
 }
 
 double Histogram::quantile(double q) const {
@@ -165,14 +149,12 @@ Registry& Registry::instance() {
 
 Registry::Registration Registry::attach(std::string group,
                                         const Counters* counters) {
-  chk::SimLockGuard g(reg_mu_);
   const std::uint64_t id = next_id_++;
   sources_.push_back(Source{id, std::move(group), counters});
   return Registration{this, id};
 }
 
 void Registry::detach(std::uint64_t id) {
-  chk::SimLockGuard g(reg_mu_);
   // Ids are handed out monotonically and sources_ is append-only between
   // erases, so it stays sorted by id: binary search instead of a scan.
   // Teardown detaches in near-LIFO order, which also keeps the erase cheap.
@@ -204,35 +186,15 @@ void Registry::detach(std::uint64_t id) {
 }
 
 Histogram& Registry::histogram(const std::string& name) {
-  chk::SimLockGuard g(reg_mu_);
   for (auto& [n, h] : hists_) {
     if (n == name) return *h;
   }
   hists_.emplace_back(name, std::make_unique<Histogram>());
-  if (shard_width_ > 0) hists_.back().second->set_shards(shard_width_);
   return *hists_.back().second;
 }
 
-void Registry::begin_parallel(unsigned nworkers) {
-  chk::SimLockGuard g(reg_mu_);
-  shard_width_ = static_cast<int>(nworkers);
-  for (auto& [name, h] : hists_) h->set_shards(shard_width_);
-}
-
-void Registry::end_parallel() {
-  chk::SimLockGuard g(reg_mu_);
-  shard_width_ = 0;
-  for (auto& [name, h] : hists_) h->merge_shards();
-}
-
-Snapshot Registry::snapshot() const {
-  chk::SimLockGuard g(reg_mu_);
-  return snapshot_impl(true);
-}
-Snapshot Registry::snapshot_live() const {
-  chk::SimLockGuard g(reg_mu_);
-  return snapshot_impl(false);
-}
+Snapshot Registry::snapshot() const { return snapshot_impl(true); }
+Snapshot Registry::snapshot_live() const { return snapshot_impl(false); }
 
 Snapshot Registry::snapshot_impl(bool include_retired) const {
   Counters total;
@@ -273,7 +235,6 @@ Snapshot Registry::snapshot_impl(bool include_retired) const {
 }
 
 void Registry::reset() {
-  chk::SimLockGuard g(reg_mu_);
   retired_ = Counters{};
   for (auto& [name, h] : hists_) h->reset();
 }

@@ -30,8 +30,6 @@
 #include <utility>
 #include <vector>
 
-#include "chk/thread_annotations.hpp"
-
 namespace meshmp::obs {
 
 /// Monotone counters keyed by short names. Sorted flat map: keys are kept
@@ -83,14 +81,6 @@ class Counters {
 /// sizes in bytes). Bucket k >= 1 holds values in [2^(k-1), 2^k); bucket 0
 /// holds zeros. Percentiles interpolate linearly inside the bucket and are
 /// clamped to the observed [min, max].
-///
-/// Parallel-engine sharding: interned registry histograms are shared by
-/// every node's hardware, so during a parallel window adds from engine
-/// worker w >= 1 are routed into a private per-worker shard (coordinator
-/// adds, worker 0, stay direct — it is the only direct writer). The engine
-/// merges shards back after each run (Registry::end_parallel); merging is a
-/// pure bucket/count sum, so totals are independent of which worker
-/// happened to own which LP and the snapshot stays deterministic.
 class Histogram {
  public:
   static constexpr int kBuckets = 65;  // zeros + one per bit of magnitude
@@ -101,22 +91,7 @@ class Histogram {
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
-  void add(std::int64_t value, std::int64_t weight = 1) {
-    if (shards_ != nullptr) {
-      const int w = chk::worker_index();
-      if (w >= 1 && w <= nshards_) {
-        shards_[w - 1].add_direct(value, weight);
-        return;
-      }
-    }
-    add_direct(value, weight);
-  }
-
-  /// Arms `nworkers - 1` per-worker shards (idempotent for the same width);
-  /// 0 or 1 disarms. Engine-coordinator-only, between windows.
-  void set_shards(int nworkers);
-  /// Folds every shard back into the base histogram and empties it.
-  void merge_shards();
+  void add(std::int64_t value, std::int64_t weight = 1);
 
   [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
   [[nodiscard]] std::int64_t sum() const noexcept { return sum_; }
@@ -145,15 +120,11 @@ class Histogram {
   }
 
  private:
-  void add_direct(std::int64_t value, std::int64_t weight);
-
   std::uint64_t buckets_[kBuckets] = {};
   std::uint64_t count_ = 0;
   std::int64_t sum_ = 0;
   std::int64_t min_ = 0;
   std::int64_t max_ = 0;
-  std::unique_ptr<Histogram[]> shards_;  // per-worker, workers 1..nshards_
-  int nshards_ = 0;
 };
 
 /// One aggregated histogram in a snapshot.
@@ -187,13 +158,6 @@ struct Snapshot {
 /// buf::CopyStats). Components attach their Counters under a group name for
 /// the lifetime of a Registration; same-group sources are summed in
 /// snapshots. Detaching folds the final values into retired totals.
-///
-/// The source list, retired totals and histogram intern table are guarded by
-/// reg_mu_ (a zero-cost chk::SimLock until the PDES engine lands). Two
-/// deliberate seams stay outside the lock: attached Counters objects are
-/// owned by their components, and interned Histogram references are stable
-/// (heap-owned) but their add() path is the owning partition's to serialize.
-// meshmp-lint: shared-state
 class Registry {
  public:
   class Registration {
@@ -242,13 +206,6 @@ class Registry {
   /// it for isolation.
   void reset();
 
-  /// Parallel-engine hooks (coordinator-only, outside any window): arm
-  /// per-worker shards on every interned histogram for a run with
-  /// `nworkers` workers, and fold them back when the run finishes.
-  /// Histograms interned mid-run are armed on creation.
-  void begin_parallel(unsigned nworkers);
-  void end_parallel();
-
  private:
   struct Source {
     std::uint64_t id = 0;
@@ -258,17 +215,13 @@ class Registry {
 
   Registry() = default;
   void detach(std::uint64_t id);
-  [[nodiscard]] Snapshot snapshot_impl(bool include_retired) const
-      MESHMP_REQUIRES(reg_mu_);
+  [[nodiscard]] Snapshot snapshot_impl(bool include_retired) const;
 
-  mutable chk::SimLock reg_mu_;
-  std::uint64_t next_id_ MESHMP_GUARDED_BY(reg_mu_) = 1;
-  std::vector<Source> sources_ MESHMP_GUARDED_BY(reg_mu_);
-  std::size_t dead_sources_ MESHMP_GUARDED_BY(reg_mu_) = 0;
-  Counters retired_ MESHMP_GUARDED_BY(reg_mu_);  // keyed "<group>.<key>"
-  std::vector<std::pair<std::string, std::unique_ptr<Histogram>>> hists_
-      MESHMP_GUARDED_BY(reg_mu_);
-  int shard_width_ MESHMP_GUARDED_BY(reg_mu_) = 0;  // workers in the active run
+  std::uint64_t next_id_ = 1;
+  std::vector<Source> sources_;
+  std::size_t dead_sources_ = 0;
+  Counters retired_;  // keyed "<group>.<key>"
+  std::vector<std::pair<std::string, std::unique_ptr<Histogram>>> hists_;
 };
 
 }  // namespace meshmp::obs

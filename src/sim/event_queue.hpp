@@ -38,8 +38,7 @@
 //     host state, so two runs of the same program make identical
 //     structural decisions and report identical work counts.
 //
-// Thread-safety: neither class locks; both are owned by sim::Engine and
-// guarded by its shard lock (see MESHMP_GUARDED_BY annotations there).
+// Both classes are owned by one sim::Engine and never shared.
 
 #include <array>
 #include <cstddef>
@@ -90,7 +89,7 @@ class EventArena {
 
   [[nodiscard]] EventNode* get();
   /// Recycles a node. The caller must have reset() the callable already
-  /// (capture destruction runs outside the engine's queue lock).
+  /// (captures are destroyed after the event body, never while it runs).
   void put(EventNode* n) noexcept;
 
   /// Nodes carved so far (warmup growth metric for tests).

@@ -7,14 +7,9 @@
 // function of program order, and call stacks stay flat no matter how deep the
 // protocol layering gets.
 //
-// Parallel engine: a primitive may be shared across logical processes (a
-// TaskGroup joining rank coroutines that migrated to their nodes' LPs), so
-// waiter lists are guarded by a chk::SimLock — zero-cost in the sequential
-// engine, a real mutex during parallel windows. Wakes still go through
-// Engine::post, so a woken coroutine migrates to its waker's LP. Signal
-// carries a notification epoch and every wait loop captures the awaiter
-// *before* testing its predicate; a notification landing between the test
-// and the suspension is then observed by the awaiter instead of lost.
+// Signal carries a notification epoch and every wait loop captures the
+// awaiter *before* testing its predicate; a notification landing between the
+// test and the suspension is then observed by the awaiter instead of lost.
 
 #include <cassert>
 #include <coroutine>
@@ -27,8 +22,6 @@
 #include <vector>
 
 #include "chk/audit.hpp"
-#include "chk/parallel.hpp"
-#include "chk/thread_annotations.hpp"
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
@@ -55,19 +48,13 @@ class Trigger {
   Trigger(const Trigger&) = delete;
   Trigger& operator=(const Trigger&) = delete;
 
-  [[nodiscard]] bool fired() const noexcept {
-    chk::SimLockGuard g(mu_);
-    return fired_;
-  }
+  [[nodiscard]] bool fired() const noexcept { return fired_; }
 
   void fire() {
+    if (fired_) return;
+    fired_ = true;
     std::vector<std::coroutine_handle<>> woken;
-    {
-      chk::SimLockGuard g(mu_);
-      if (fired_) return;
-      fired_ = true;
-      woken.swap(waiters_);
-    }
+    woken.swap(waiters_);
     for (auto h : woken) eng_->post(h);
   }
 
@@ -76,7 +63,6 @@ class Trigger {
       Trigger& t;
       bool await_ready() const noexcept { return t.fired(); }
       bool await_suspend(std::coroutine_handle<> h) {
-        chk::SimLockGuard g(t.mu_);
         if (t.fired_) return false;  // fired after the ready check: pass through
         t.waiters_.push_back(h);
         return true;
@@ -88,9 +74,8 @@ class Trigger {
 
  private:
   Engine* eng_;
-  mutable chk::SimLock mu_;
-  bool fired_ MESHMP_GUARDED_BY(mu_) = false;
-  std::vector<std::coroutine_handle<>> waiters_ MESHMP_GUARDED_BY(mu_);
+  bool fired_ = false;
+  std::vector<std::coroutine_handle<>> waiters_;
 };
 
 /// Multi-shot notification: each notify_all() wakes everyone waiting *now*.
@@ -102,17 +87,13 @@ class Signal {
   Signal& operator=(const Signal&) = delete;
 
   void notify_all() {
+    ++epoch_;
     std::vector<std::coroutine_handle<>> woken;
-    {
-      chk::SimLockGuard g(mu_);
-      ++epoch_;
-      woken.swap(waiters_);
-    }
+    woken.swap(waiters_);
     for (auto h : woken) eng_->post(h);
     // Hand the emptied buffer's capacity back so the steady-state
     // notify/wait cycle stays allocation-free.
     woken.clear();
-    chk::SimLockGuard g(mu_);
     if (waiters_.empty()) waiters_.swap(woken);
   }
 
@@ -124,16 +105,9 @@ class Signal {
     struct Awaiter {
       Signal& s;
       std::uint64_t seen;
-      explicit Awaiter(Signal& sig) : s(sig) {
-        chk::SimLockGuard g(s.mu_);
-        seen = s.epoch_;
-      }
-      bool await_ready() const noexcept {
-        chk::SimLockGuard g(s.mu_);
-        return s.epoch_ != seen;
-      }
+      explicit Awaiter(Signal& sig) : s(sig), seen(sig.epoch_) {}
+      bool await_ready() const noexcept { return s.epoch_ != seen; }
       bool await_suspend(std::coroutine_handle<> h) {
-        chk::SimLockGuard g(s.mu_);
         if (s.epoch_ != seen) return false;  // notified since creation
         s.waiters_.push_back(h);
         return true;
@@ -144,15 +118,13 @@ class Signal {
   }
 
   [[nodiscard]] std::size_t waiting() const noexcept {
-    chk::SimLockGuard g(mu_);
     return waiters_.size();
   }
 
  private:
   Engine* eng_;
-  mutable chk::SimLock mu_;
-  std::uint64_t epoch_ MESHMP_GUARDED_BY(mu_) = 0;
-  std::vector<std::coroutine_handle<>> waiters_ MESHMP_GUARDED_BY(mu_);
+  std::uint64_t epoch_ = 0;
+  std::vector<std::coroutine_handle<>> waiters_;
 };
 
 /// Suspends until pred() holds, re-checking after each signal notification.
@@ -177,16 +149,12 @@ class Queue {
   Queue& operator=(const Queue&) = delete;
 
   void push(T value) {
-    Waiter w{};
-    {
-      chk::SimLockGuard g(mu_);
-      if (waiters_.empty()) {
-        items_.push_back(std::move(value));
-        return;
-      }
-      w = waiters_.front();
-      waiters_.pop_front();
+    if (waiters_.empty()) {
+      items_.push_back(std::move(value));
+      return;
     }
+    const Waiter w = waiters_.front();
+    waiters_.pop_front();
     // The waiter is suspended until the posted wake runs, so its slot is
     // exclusively ours here.
     w.slot->emplace(std::move(value));
@@ -197,12 +165,8 @@ class Queue {
     struct Awaiter {
       Queue& q;
       std::optional<T> slot{};
-      bool await_ready() {
-        chk::SimLockGuard g(q.mu_);
-        return q.take(slot);
-      }
+      bool await_ready() { return q.take(slot); }
       bool await_suspend(std::coroutine_handle<> h) {
-        chk::SimLockGuard g(q.mu_);
         if (q.take(slot)) return false;  // pushed after the ready check
         q.waiters_.push_back(Waiter{h, &slot});
         return true;
@@ -214,16 +178,12 @@ class Queue {
 
   /// Non-blocking pop.
   std::optional<T> try_pop() {
-    chk::SimLockGuard g(mu_);
     std::optional<T> v;
     take(v);
     return v;
   }
 
-  [[nodiscard]] std::size_t size() const noexcept {
-    chk::SimLockGuard g(mu_);
-    return items_.size();
-  }
+  [[nodiscard]] std::size_t size() const noexcept { return items_.size(); }
   [[nodiscard]] bool empty() const noexcept { return size() == 0; }
 
  private:
@@ -233,7 +193,7 @@ class Queue {
   };
 
   /// Moves the head item into `slot` if there is one.
-  bool take(std::optional<T>& slot) MESHMP_REQUIRES(mu_) {
+  bool take(std::optional<T>& slot) {
     if (items_.empty()) return false;
     slot.emplace(std::move(items_.front()));
     items_.pop_front();
@@ -241,9 +201,8 @@ class Queue {
   }
 
   Engine* eng_;
-  mutable chk::SimLock mu_;
-  std::deque<T> items_ MESHMP_GUARDED_BY(mu_);
-  std::deque<Waiter> waiters_ MESHMP_GUARDED_BY(mu_);
+  std::deque<T> items_;
+  std::deque<Waiter> waiters_;
 };
 
 /// Counted resource with priority + FIFO granting. Priority 0 is the most
@@ -400,7 +359,7 @@ class TaskGroup {
   TaskGroup& operator=(const TaskGroup&) = delete;
 
   void add(Task<> task) {
-    pending_.add(1);
+    ++pending_;
     wrap(std::move(task)).detach();
   }
 
@@ -413,20 +372,14 @@ class TaskGroup {
   Task<> join() {
     for (;;) {
       auto next = done_.next();  // created before the test: no lost wakeup
-      if (pending_.load() == 0) break;
+      if (pending_ == 0) break;
       co_await next;
     }
-    std::exception_ptr e;
-    {
-      chk::SimLockGuard g(err_mu_);
-      e = std::exchange(error_, nullptr);
-    }
+    std::exception_ptr e = std::exchange(error_, nullptr);
     if (e) std::rethrow_exception(e);
   }
 
-  [[nodiscard]] int pending() const noexcept {
-    return static_cast<int>(pending_.load());
-  }
+  [[nodiscard]] int pending() const noexcept { return pending_; }
 
  private:
   template <typename T>
@@ -438,19 +391,17 @@ class TaskGroup {
     try {
       co_await task;
     } catch (...) {
-      chk::SimLockGuard g(err_mu_);
       if (!error_) error_ = std::current_exception();
     }
     // Order matters: the join loop re-reads pending_ after observing the
     // epoch bump, so the decrement must come first.
-    pending_.sub(1);
+    --pending_;
     done_.notify_all();
   }
 
-  chk::SharedCount pending_;
+  int pending_ = 0;
   Signal done_;
-  mutable chk::SimLock err_mu_;
-  std::exception_ptr error_ MESHMP_GUARDED_BY(err_mu_);
+  std::exception_ptr error_;
 };
 
 }  // namespace meshmp::sim

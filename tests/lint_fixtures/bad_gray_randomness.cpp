@@ -3,7 +3,7 @@
 // A flaky-NIC injector that rolls its per-frame drop/dup/reorder dice from
 // libc randomness, or times its degrade window off a host clock, destroys
 // run-twice reproducibility: the whole gray-failure campaign contract
-// (byte-identical digests across reruns and MESHMP_THREADS settings) rests
+// (byte-identical digests across reruns) rests
 // on every coin flip coming from the seeded sim::Rng stream.
 #include <chrono>
 #include <cstdlib>

@@ -1,12 +1,9 @@
-// R4 fixture: raw threading primitives outside the src/sim/ + src/chk/
-// threading layer. The rule keys on the path containing neither a sim/ nor
-// a chk/ component, so this file stands in for any src/<subsystem>/ source.
-// Lint-only — never compiled.
+// R4 fixture: raw threading primitives in simulator code. The rule covers
+// every file under src/ (the engine core included), so this file stands in
+// for any src/<subsystem>/ source. Lint-only — never compiled.
 
 #include <atomic>  // LINT-EXPECT[R4]
 #include <mutex>   // LINT-EXPECT[R4]
-
-#include "chk/thread_annotations.hpp"
 
 namespace fixture {
 
@@ -28,13 +25,6 @@ inline int guarded_read() {
 inline void fenced() {
   std::atomic_thread_fence(std::memory_order_acquire);  // LINT-EXPECT[R4]
 }
-
-// Legal: the chk wrappers are the sanctioned synchronization surface — a
-// SimLock is a no-op until an engine worker team activates it.
-struct Guarded {
-  chk::SimLock mu;
-  int value MESHMP_GUARDED_BY(mu) = 0;
-};
 
 // Suppressed: an audited exception keeps its reason next to the use.
 // meshmp-lint: raw-threading-ok(process-wide relaxed stats, host-side only)

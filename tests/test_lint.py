@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Self-test for tools/meshmp_lint.py, registered with ctest.
 
-Three gates:
+Four gates:
   1. Fixture conformance — every tests/lint_fixtures/*.cpp line tagged
      LINT-EXPECT[RULE] must produce exactly that finding, and no untagged
      line may produce any. This asserts both directions: each rule fires on
@@ -9,10 +9,13 @@ Three gates:
   2. src/ stays lint-clean (exit 0, zero findings) with the checked-in
      allowlist.
   3. The allowlist mechanism filters a finding (and only that finding).
+  4. R4 has no exempt layer: the threading fixture copied under sim/ and
+     chk/ directories reports the same findings.
 """
 
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -76,7 +79,7 @@ def main():
         check(code == want_code, f"{name}: exit code {code} == {want_code}")
 
     rules_covered = {r for p in fixtures for _, _, r in expected_findings(p)}
-    check(rules_covered >= {"D1", "D2", "D3", "C1", "R3", "R4", "H1"},
+    check(rules_covered >= {"D1", "D2", "D3", "C1", "R4", "H1"},
           f"fixtures cover all rules ({sorted(rules_covered)})")
 
     # Gate 2: the real tree is clean under the checked-in allowlist.
@@ -88,7 +91,7 @@ def main():
     # Gate 2b: the gray-failure fault/score path specifically is free of
     # wall-clock randomness (D2). These files hold every die roll and window
     # edge of the gray campaigns — flaky drop/dup/reorder decisions, quality
-    # EWMA sampling, phi timeouts — and the run-twice / thread-matrix digest
+    # EWMA sampling, phi timeouts — and the run-twice / golden digest
     # guarantees are only as good as this gate. Run WITHOUT the allowlist so
     # a future allowlist entry can never quietly exempt them.
     gray_files = [
@@ -126,6 +129,21 @@ def main():
               "std::copy finding survives an unrelated allowlist entry")
     finally:
         os.unlink(allow)
+
+    # Gate 4: the engine core is not exempt from R4 — the same fixture under
+    # a sim/ (or chk/) path component must report exactly the same lines.
+    threading = os.path.join(FIXTURE_DIR, "bad_threading.cpp")
+    want = {(line, rule) for _, line, rule in expected_findings(threading)}
+    with tempfile.TemporaryDirectory() as tmp:
+        for layer in ("sim", "chk"):
+            os.makedirs(os.path.join(tmp, layer))
+            copy = os.path.join(tmp, layer, "bad_threading.cpp")
+            shutil.copy(threading, copy)
+            code, got = run_lint([copy])
+            got = {(line, rule) for _, line, rule in got}
+            check(code == 1 and got == want,
+                  f"R4 fires under {layer}/ ({len(got)} of {len(want)} "
+                  f"findings)")
 
     if failures:
         print(f"\n{len(failures)} failure(s)", file=sys.stderr)

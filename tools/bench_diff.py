@@ -125,13 +125,8 @@ def check_bench(name, base_path, fresh_path, host_ratio, additive, report):
                   f"{len(gated)} metric leaves exact{host_note}")
     if host_keys:
         fleaves = dict(flatten_metrics(fresh.get("metrics", {})))
-        # Engine worker count leads the line: the determinism matrix reads
-        # these rows to compare events/sec across MESHMP_THREADS values.
-        tkey = "counters.host.engine.threads"
-        lead = [f"threads={fleaves[tkey]}"] if tkey in fleaves else []
-        shown = [k for k in host_keys if k in fleaves and k != tkey]
-        vals = ", ".join(
-            lead + [f"{k.split('.', 1)[1]}={fleaves[k]}" for k in shown[:4]])
+        shown = [k for k in host_keys if k in fleaves]
+        vals = ", ".join(f"{k.split('.', 1)[1]}={fleaves[k]}" for k in shown[:4])
         report.append(f"  HOST {name}: {len(host_keys)} host metric leaf(s), "
                       f"informational only ({vals})")
     if new_keys:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """meshmp-lint: project-invariant static analysis for the meshmp simulator.
 
-Enforces three rule families over src/ (see DESIGN.md section 11):
+Enforces four rule families over src/ (see DESIGN.md section 11):
 
 Determinism
   D1  no std::unordered_{map,set,multimap,multiset}: iteration order depends
@@ -27,17 +27,13 @@ Copy accounting
       following lines of the same contiguous block: up to {WINDOW} lines with
       no blank line in between.
 
-Concurrency readiness
-  R3  a class marked // meshmp-lint: shared-state must declare a
-      chk::SimLock (or MESHMP_CAPABILITY) member, and every container member
-      it declares must be MESHMP_GUARDED_BY one, or carry
-      // meshmp-lint: unshared(<reason>).
+Single-threaded simulation
   R4  no raw threading primitives (std::thread, std::mutex and friends,
       std::condition_variable, std::atomic*, lock helpers, futures, or
-      their headers) outside src/sim/ and src/chk/: simulation code
-      synchronizes through chk::SimLock / chk::SharedCount and the engine's
-      LP partition — a raw primitive elsewhere bypasses the determinism
-      model and the single-threaded-until-partitioned contract.
+      their headers) anywhere under src/: the engine is one sequential
+      event loop and nothing in the library starts a thread, so a raw
+      primitive is either dead weight or the start of an unsynchronized
+      second thread that the determinism model does not cover.
       Suppress: // meshmp-lint: raw-threading-ok(<reason>)
 
 Hot path
@@ -53,7 +49,7 @@ Hot path
 
 Engines: with python clang bindings and a compile_commands.json the D-rules
 run on the AST (macro- and comment-proof); otherwise a conservative text
-engine covers everything. C1/R3 are comment-scoped by design and always run
+engine covers everything. C1 is comment-scoped by design and always runs
 on text. Findings print as path:line: [RULE] message; exit 1 on any finding
 not covered by the allowlist (tools/meshmp_lint_allowlist.txt: lines of
 "<RULE> <path> <substring-of-offending-line>", # comments allowed).
@@ -75,10 +71,9 @@ WINDOW = 12  # max lines a charge/annotation covers within a contiguous block
 
 SUPPRESS_RE = re.compile(
     r"meshmp-lint:\s*"
-    r"(host-copy|charged-copy|unordered-ok|ptr-key-ok|host-time|unshared"
+    r"(host-copy|charged-copy|unordered-ok|ptr-key-ok|host-time"
     r"|std-function-ok|raw-threading-ok)"
     r"\s*\(")
-MARKER_SHARED_RE = re.compile(r"meshmp-lint:\s*shared-state\b")
 COMMENT_RE = re.compile(r"//.*$")
 
 UNORDERED_RE = re.compile(r"\bstd::unordered_(map|set|multimap|multiset)\b"
@@ -108,12 +103,6 @@ THREADING_INCLUDE_RE = re.compile(
 SCHEDULE_CALL_RE = re.compile(
     r"(?:\bschedule(?:_at)?|(?<![\w.])post|[.>]post)\s*\(")
 CHARGE_RE = re.compile(r"\bcharge_copy\s*(?:<[^>]*>)?\(")
-CONTAINER_MEMBER_RE = re.compile(
-    r"\b(?:std::(?:vector|map|set|deque|array|priority_queue|queue)"
-    r"|chk::FlatMap|chk::FlatSet)<")
-MEMBER_NAME_RE = re.compile(r"\b[A-Za-z]\w*_\s*(?:;|=|\{|MESHMP_GUARDED_BY|$)")
-LOCK_MEMBER_RE = re.compile(r"\bchk::SimLock\b|\bMESHMP_CAPABILITY\b|"
-                            r"\bSimLock\s+\w+_")
 
 BANNED_CALLS = {
     "rand": "D2", "srand": "D2", "time": "D2", "gettimeofday": "D2",
@@ -223,17 +212,7 @@ def in_sim_core(path):
     return "sim" in parts
 
 
-def in_threading_layer(path):
-    """src/sim/ and src/chk/ are the only layers allowed to touch raw
-    threading primitives (the worker team and the SimLock/SharedCount
-    wrappers it activates)."""
-    parts = os.path.normpath(path).split(os.sep)
-    return "sim" in parts or "chk" in parts
-
-
 def check_raw_threading(path, lines):
-    if in_threading_layer(path):
-        return []
     out = []
     for i, raw in enumerate(lines):
         code = strip_comment(raw)
@@ -244,9 +223,9 @@ def check_raw_threading(path, lines):
             continue
         out.append(Finding(
             "R4", path, i + 1,
-            "raw threading primitive outside src/sim/ + src/chk/: "
-            "synchronize through chk::SimLock / chk::SharedCount and the "
-            "engine's LP partition instead (or annotate raw-threading-ok)",
+            "raw threading primitive: the simulator is single-threaded "
+            "by design; use plain state owned by the engine's event loop "
+            "(or annotate raw-threading-ok)",
             raw))
     return out
 
@@ -290,74 +269,6 @@ def check_copy_accounting(path, lines):
             "memcpy/std::copy without a charge_copy() in the same block: "
             "bill it via buf::charge_copy or annotate "
             "host-copy(<reason>) / charged-copy(<reason>)", raw))
-    return out
-
-
-def class_region(lines, marker_idx):
-    """(class_line_idx, end_idx_exclusive) of the class following a
-    shared-state marker, or None."""
-    class_re = re.compile(r"^(\s*)(?:template\s*<[^>]*>\s*)?class\s+\w+")
-    for i in range(marker_idx, min(marker_idx + 4, len(lines))):
-        m = class_re.match(lines[i])
-        if not m:
-            continue
-        indent = m.group(1)
-        end_re = re.compile(r"^" + re.escape(indent) + r"\};")
-        for j in range(i + 1, len(lines)):
-            if end_re.match(lines[j]):
-                return i, j
-        return i, len(lines)
-    return None
-
-
-def check_shared_state(path, lines):
-    out = []
-    for i, raw in enumerate(lines):
-        if not MARKER_SHARED_RE.search(raw):
-            continue
-        region = class_region(lines, i + 1)
-        if region is None:
-            out.append(Finding(
-                "R3", path, i + 1,
-                "shared-state marker is not followed by a class declaration",
-                raw))
-            continue
-        start, end = region
-        body = lines[start:end]
-        if not any(LOCK_MEMBER_RE.search(strip_comment(l)) for l in body):
-            out.append(Finding(
-                "R3", path, start + 1,
-                "shared-state class declares no chk::SimLock / "
-                "MESHMP_CAPABILITY member", lines[start]))
-        # Container member declarations must be guarded or annotated.
-        depth = 0
-        for k, line in enumerate(body):
-            code = strip_comment(line)
-            at_member_level = depth == 1
-            depth += code.count("{") - code.count("}")
-            if not at_member_level or depth > 1:
-                continue  # inside a nested scope (method body, nested type)
-            if not CONTAINER_MEMBER_RE.search(code):
-                continue
-            # Join the declaration statement (up to 3 lines, until ';').
-            stmt = code
-            for extra in range(1, 3):
-                if ";" in stmt:
-                    break
-                if k + extra < len(body):
-                    stmt += " " + strip_comment(body[k + extra])
-            if not MEMBER_NAME_RE.search(stmt):
-                continue  # not a member declaration (signature, using, ...)
-            if "(" in stmt.split("<", 1)[0]:
-                continue  # function signature returning a container
-            if "MESHMP_GUARDED_BY" in stmt:
-                continue
-            if suppressed(body, k, ("unshared",)):
-                continue
-            out.append(Finding(
-                "R3", path, start + k + 1,
-                "container member of a shared-state class is not "
-                "MESHMP_GUARDED_BY a lock (or annotated unshared)", line))
     return out
 
 
@@ -522,7 +433,6 @@ def main(argv=None):
         if os.path.abspath(path) not in ast_cover:
             findings.extend(check_determinism_text(rel, lines))
         findings.extend(check_copy_accounting(rel, lines))
-        findings.extend(check_shared_state(rel, lines))
         findings.extend(check_hot_path(rel, lines))
         findings.extend(check_raw_threading(rel, lines))
 
