@@ -42,6 +42,11 @@
 
 namespace {
 std::atomic<std::uint64_t> g_heap_allocs{0};
+
+// Every replacement operator delete frees through this one out-of-line
+// call: with std::free inlined into them, g++ 12 under ASan reports
+// -Wmismatched-new-delete at each one.
+[[gnu::noinline]] void heap_free(void* p) noexcept { std::free(p); }
 }  // namespace
 
 void* operator new(std::size_t n) {
@@ -50,10 +55,10 @@ void* operator new(std::size_t n) {
   throw std::bad_alloc{};
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { heap_free(p); }
+void operator delete[](void* p) noexcept { heap_free(p); }
+void operator delete(void* p, std::size_t) noexcept { heap_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { heap_free(p); }
 
 namespace {
 

@@ -1,5 +1,6 @@
 #include "buf/pool.hpp"
 
+#include <array>
 #include <bit>
 #include <cstring>
 #include <string>
@@ -135,18 +136,6 @@ bool crc_clmul_supported() {
 
 #endif  // MESHMP_CRC_PCLMUL
 
-/// Class of the smallest power of two >= bytes: every vector stored in this
-/// class (capacity in [2^k, 2^(k+1))) can serve the request.
-std::size_t class_for_request(std::size_t bytes) {
-  if (bytes <= 1) return 0;
-  return static_cast<std::size_t>(std::bit_width(bytes - 1));
-}
-
-/// Class a vector's capacity files under.
-std::size_t class_for_capacity(std::size_t capacity) {
-  return static_cast<std::size_t>(std::bit_width(capacity)) - 1;
-}
-
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::byte> data) {
@@ -227,7 +216,8 @@ Slice& Slice::operator=(Slice&& other) noexcept {
 
 void Slice::release() noexcept {
   if (ctrl_ != nullptr && --ctrl_->refs == 0) {
-    Pool::instance().retire(ctrl_);
+    delete ctrl_;
+    Pool::instance().drop_one();
   }
   ctrl_ = nullptr;
   len_ = 0;
@@ -260,20 +250,20 @@ std::uint32_t Slice::crc() const {
 
 Buffer& Buffer::operator=(Buffer&& other) noexcept {
   if (this == &other) return *this;
-  if (live_) Pool::instance().give_back(std::move(vec_));
+  if (live_) Pool::instance().drop_one();
   vec_ = std::move(other.vec_);
   live_ = std::exchange(other.live_, false);
   return *this;
 }
 
 Buffer::~Buffer() {
-  if (live_) Pool::instance().give_back(std::move(vec_));
+  if (live_) Pool::instance().drop_one();
 }
 
 std::vector<std::byte> Buffer::release() && {
   if (live_) {
     live_ = false;
-    Pool::instance().disown_one();
+    Pool::instance().drop_one();
   }
   return std::move(vec_);
 }
@@ -298,19 +288,15 @@ void Pool::audit_outstanding() const {
 }
 
 Buffer Pool::get(std::size_t bytes) {
-  std::vector<std::byte> v = obtain(bytes);
+  ++stats_.pool_misses;
   ++outstanding_;
-  // Zero-fill recycled storage so stale bytes can never leak into a fresh
-  // message; also preserves the seed's "reassembly starts zeroed" behavior.
-  v.assign(bytes, std::byte{0});
-  return Buffer(std::move(v));
+  return Buffer(std::vector<std::byte>(bytes));
 }
 
 Slice Pool::stage(std::span<const std::byte> src) {
   if (src.empty()) return {};
-  std::vector<std::byte> v = obtain(src.size());
-  v.assign(src.begin(), src.end());
-  return wrap(std::move(v));
+  ++stats_.pool_misses;
+  return wrap({src.begin(), src.end()});
 }
 
 Slice Pool::adopt(std::vector<std::byte> v) {
@@ -319,49 +305,11 @@ Slice Pool::adopt(std::vector<std::byte> v) {
   return wrap(std::move(v));
 }
 
-std::vector<std::byte> Pool::obtain(std::size_t bytes) {
-  for (std::size_t k = class_for_request(bytes); k < kClasses; ++k) {
-    if (!free_[k].empty()) {
-      std::vector<std::byte> v = std::move(free_[k].back());
-      free_[k].pop_back();
-      ++stats_.pool_hits;
-      return v;
-    }
-  }
-  ++stats_.pool_misses;
-  std::vector<std::byte> v;
-  v.reserve(bytes);
-  return v;
-}
-
-void Pool::recycle(std::vector<std::byte> v) noexcept {
-  if (v.capacity() == 0) return;
-  std::size_t k = class_for_capacity(v.capacity());
-  if (k < kClasses && free_[k].size() < kMaxFreePerClass) {
-    free_[k].push_back(std::move(v));
-  }
-}
-
 Slice Pool::wrap(std::vector<std::byte> v) {
   std::size_t n = v.size();
   auto* ctrl = new detail::Ctrl{std::move(v), 1};
   ++outstanding_;
   return {ctrl, 0, n};
-}
-
-void Pool::retire(detail::Ctrl* ctrl) noexcept {
-  recycle(std::move(ctrl->bytes));
-  --outstanding_;
-  delete ctrl;
-}
-
-void Pool::give_back(std::vector<std::byte> v) noexcept {
-  recycle(std::move(v));
-  --outstanding_;
-}
-
-void Pool::disown_one() noexcept {
-  --outstanding_;
 }
 
 // --- copy accounting (declared in copy.hpp) --------------------------------

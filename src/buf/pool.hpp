@@ -1,6 +1,6 @@
 #pragma once
 
-// Reference-counted pooled payload buffers for the simulated data path.
+// Reference-counted payload buffers for the simulated data path.
 //
 // The simulator models copy costs explicitly (hw::Cpu::copy,
 // hw::IsrContext::spend_copy — both reached through buf::charge_copy in
@@ -8,7 +8,7 @@
 // cost host time. This module decouples the two:
 //
 //  * Pool::get(n)    -> Buffer: mutable zero-filled scratch (reassembly).
-//  * Pool::stage(s)  -> Slice:  bytes copied into a pooled buffer — the one
+//  * Pool::stage(s)  -> Slice:  bytes copied into fresh storage — the one
 //                               host copy that matches a modeled copy.
 //  * Pool::adopt(v)  -> Slice:  take ownership of an existing vector, no copy.
 //  * Slice::subslice -> aliasing offset/length view; refcount bump only.
@@ -20,14 +20,12 @@
 // queue entry) is never altered, and the detached copy carries no CRC memo,
 // so Frame::checksum_ok still genuinely detects the flip.
 //
-// Storage vectors are recycled through per-capacity-class free lists
-// (class k holds capacities in [2^k, 2^(k+1))), so steady-state traffic
-// performs no heap allocation for payload bytes.
-//
-// A chk::Audit validator ("buf.pool") reports any Buffer or Slice not
-// returned at quiesce, catching leaked references in protocol state.
+// Storage comes from the allocator and is freed when its last Buffer or
+// Slice dies. The pool keeps no free lists (DESIGN.md §8 has the measured
+// reason); it keeps a ledger instead: a chk::Audit validator ("buf.pool")
+// reports any Buffer or Slice not returned at quiesce, catching leaked
+// references in protocol state.
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -38,7 +36,7 @@
 namespace meshmp::buf {
 
 /// CRC-32 (IEEE 802.3 polynomial, bit-reflected) over a byte range.
-/// Lives here so Slice can memoize it; net::crc32 forwards to this.
+/// Lives here so Slice can memoize it.
 std::uint32_t crc32(std::span<const std::byte> data);
 
 class Pool;
@@ -52,8 +50,8 @@ struct Ctrl {
 };
 }  // namespace detail
 
-/// Immutable offset/length view into pooled storage. Copying a Slice bumps
-/// a refcount; the storage returns to the pool when the last view dies.
+/// Immutable offset/length view into shared storage. Copying a Slice bumps
+/// a refcount; the storage is freed when the last view dies.
 /// Carries a memoized CRC so per-hop checksum verification of an unchanged
 /// payload costs O(1).
 class Slice {
@@ -109,7 +107,7 @@ class Slice {
   mutable bool crc_known_ = false;
 };
 
-/// Mutable, uniquely owned pooled scratch buffer — used to gather fragments
+/// Mutable, uniquely owned scratch buffer — used to gather fragments
 /// during reassembly. Convert to user data with release() (steals the
 /// vector: no copy at the completion boundary) or share it via
 /// Pool::adopt(std::move(buffer).release()).
@@ -143,32 +141,31 @@ class Buffer {
   bool live_ = false;
 };
 
-/// Process-wide storage pool. Deterministic: pool state never feeds back
-/// into simulation decisions, only into host allocation.
+/// Process-wide payload ledger. Deterministic: pool state never feeds back
+/// into simulation decisions.
 class Pool {
  public:
   static Pool& instance();
 
-  /// Zero-filled mutable scratch of exactly `bytes` (zero-filled so that
-  /// recycled storage can never leak stale bytes into a fresh message).
+  /// Zero-filled mutable scratch of exactly `bytes`.
   [[nodiscard]] Buffer get(std::size_t bytes);
 
-  /// Copy `src` into pooled storage; the caller's modeled copy charge is
+  /// Copy `src` into fresh storage; the caller's modeled copy charge is
   /// the only copy this mirrors. Empty input yields a null slice.
   [[nodiscard]] Slice stage(std::span<const std::byte> src);
 
   /// Take ownership of `v` with no copy. Empty input yields a null slice.
   [[nodiscard]] Slice adopt(std::vector<std::byte> v);
 
-  /// Buffers plus storage blocks currently out of the pool. Zero at quiesce
+  /// Buffers plus storage blocks currently alive. Zero at quiesce
   /// when no protocol state leaks references (audited as "buf.pool").
   [[nodiscard]] std::size_t outstanding() const noexcept {
     return outstanding_;
   }
 
   struct Stats {
-    std::uint64_t pool_hits = 0;    ///< storage served from a free list
-    std::uint64_t pool_misses = 0;  ///< storage freshly allocated
+    std::uint64_t pool_hits = 0;    ///< always 0: no storage is recycled
+    std::uint64_t pool_misses = 0;  ///< get()/stage() allocations
     std::uint64_t adopts = 0;       ///< vectors adopted without copy
   };
   [[nodiscard]] Stats stats() const noexcept { return stats_; }
@@ -182,23 +179,10 @@ class Pool {
   /// Quiesce validator body.
   void audit_outstanding() const;
 
-  /// A vector with capacity >= bytes and unspecified size/contents.
-  std::vector<std::byte> obtain(std::size_t bytes);
-  void recycle(std::vector<std::byte> v) noexcept;
   Slice wrap(std::vector<std::byte> v);
-  /// Drops the last reference's storage back into the free lists.
-  void retire(detail::Ctrl* ctrl) noexcept;
-  /// Returns a live Buffer's storage at teardown.
-  void give_back(std::vector<std::byte> v) noexcept;
-  /// Removes one buffer from the outstanding count without returning its
-  /// storage — Buffer::release() steals the bytes.
-  void disown_one() noexcept;
+  /// Removes one Buffer or storage block from the outstanding count.
+  void drop_one() noexcept { --outstanding_; }
 
-  // Free lists bucketed by capacity class: free_[k] holds vectors whose
-  // capacity is in [2^k, 2^(k+1)), so any entry satisfies requests <= 2^k.
-  static constexpr std::size_t kClasses = 48;
-  static constexpr std::size_t kMaxFreePerClass = 64;
-  std::array<std::vector<std::vector<std::byte>>, kClasses> free_{};
   std::size_t outstanding_ = 0;
   Stats stats_{};
   chk::Audit::Registration audit_reg_;

@@ -13,7 +13,7 @@
 // Complexity: lookup is O(log n), insert/erase O(n) moves. Every map in the
 // simulator keyed this way is small (directions per node, services per
 // agent, in-flight rendezvous per endpoint), where the flat layout also wins
-// on cache behaviour — the same reasoning as buf::Pool's free-list classes.
+// on cache behaviour.
 //
 // The API is the subset of std::map the codebase uses; value_type is
 // std::pair<Key, Value> (non-const key, as in a vector), and insertion or

@@ -83,68 +83,6 @@ Task<> barrier(mp::Endpoint& ep, int tag) {
   co_await allreduce(ep, nothing, null_op(), tag);
 }
 
-Task<> broadcast_survivors(mp::Endpoint& ep, topo::Rank root,
-                           std::vector<std::byte>& data, int tag,
-                           const std::vector<bool>& dead) {
-  const topo::Torus& t = ep.agent().torus();
-  const topo::Rank me = ep.rank();
-  [[maybe_unused]] std::int32_t trk = -1;
-  MESHMP_TRACE_TRACK(trk, me, "coll");
-  MESHMP_TRACE_SCOPE_ARG(ep.engine(), obs::Cat::kColl, me, trk,
-                         "broadcast_survivors", "bytes", data.size());
-  if (auto parent = topo::survivor_parent(t, root, me, dead)) {
-    mp::Message msg = co_await ep.recv(static_cast<int>(*parent), tag);
-    data = std::move(msg.data);
-  }
-  const auto kids = topo::survivor_children(t, root, me, dead);
-  if (kids.empty()) co_return;
-  const buf::Slice shared = buf::Pool::instance().stage(data);
-  sim::TaskGroup group(ep.engine());
-  for (topo::Rank kid : kids) {
-    group.add(ep.send(static_cast<int>(kid), tag, shared));
-  }
-  co_await group.join();
-}
-
-Task<> reduce_survivors(mp::Endpoint& ep, topo::Rank root,
-                        std::vector<std::byte>& data, const ReduceOp& op,
-                        int tag, const std::vector<bool>& dead) {
-  const topo::Torus& t = ep.agent().torus();
-  const topo::Rank me = ep.rank();
-  [[maybe_unused]] std::int32_t trk = -1;
-  MESHMP_TRACE_TRACK(trk, me, "coll");
-  MESHMP_TRACE_SCOPE_ARG(ep.engine(), obs::Cat::kColl, me, trk,
-                         "reduce_survivors", "bytes", data.size());
-  auto& cpu = ep.agent().node().cpu();
-  const auto kids = topo::survivor_children(t, root, me, dead);
-  for (std::size_t i = 0; i < kids.size(); ++i) {
-    (void)i;
-    mp::Message msg = co_await ep.recv(mp::Endpoint::kAny, tag);
-    op.combine(data, msg.data);
-    if (op.flops_per_byte > 0) {
-      co_await cpu.compute_flops(op.flops_per_byte *
-                                 static_cast<double>(data.size()));
-    }
-  }
-  if (auto parent = topo::survivor_parent(t, root, me, dead)) {
-    co_await ep.send(static_cast<int>(*parent), tag,
-                     buf::Pool::instance().stage(data));
-  }
-}
-
-Task<> allreduce_survivors(mp::Endpoint& ep, std::vector<std::byte>& data,
-                           const ReduceOp& op, int tag,
-                           const std::vector<bool>& dead) {
-  topo::Rank root = 0;
-  while (root < ep.agent().torus().size() &&
-         dead[static_cast<std::size_t>(root)]) {
-    ++root;
-  }
-  assert(root < ep.agent().torus().size() && "no survivors");
-  co_await reduce_survivors(ep, root, data, op, tag, dead);
-  co_await broadcast_survivors(ep, root, data, tag + 1, dead);
-}
-
 // -- quorum-gated (partition-safe) collectives ------------------------------
 
 namespace {

@@ -46,43 +46,23 @@ sim::Task<> allreduce(mp::Endpoint& ep, std::vector<std::byte>& data,
 /// Barrier: global combining with a null reduction. Uses tag and tag+1.
 sim::Task<> barrier(mp::Endpoint& ep, int tag);
 
-// -- degraded-mode (survivor) collectives ----------------------------------
-//
-// After the failure detector confirms node deaths, the survivors rebuild
-// their collective trees over the live subgraph: dead ranks are excluded as
-// tree nodes (they neither contribute nor forward) and the tree is a BFS
-// spanning tree of the survivors (topo::survivor_parent / survivor_children).
-// Only live ranks call these, all with the same `dead` set (each rank's
-// MembershipView::dead_set() once views converge); `root` must be alive.
-
-/// Broadcast over the survivor tree; on return every live rank's `data`
-/// holds the root's buffer.
-sim::Task<> broadcast_survivors(mp::Endpoint& ep, topo::Rank root,
-                                std::vector<std::byte>& data, int tag,
-                                const std::vector<bool>& dead);
-
-/// Reduction over the survivor tree; the root combines every live rank's
-/// input.
-sim::Task<> reduce_survivors(mp::Endpoint& ep, topo::Rank root,
-                             std::vector<std::byte>& data, const ReduceOp& op,
-                             int tag, const std::vector<bool>& dead);
-
-/// Global combining over the survivors, rooted at the lowest live rank.
-/// Uses tag and tag+1.
-sim::Task<> allreduce_survivors(mp::Endpoint& ep, std::vector<std::byte>& data,
-                                const ReduceOp& op, int tag,
-                                const std::vector<bool>& dead);
-
 // -- quorum-gated (partition-safe) collectives ------------------------------
 //
-// Split-brain-safe wrappers for partitioned machines. A rank whose kernel
-// agent is flagged minority fails fast with kMinorityPartition before
-// touching the wire — a minority-side collective can never represent the
-// machine, so it must not silently compute over the fragment. Primary-side
-// ranks run the survivor-tree algorithms over their converged dead set and
-// propagate wire failures (a peer dying mid-collective) as kUnreachable
-// instead of ignoring them. Only live primary-side ranks participate; all
-// must pass the same `dead` set.
+// Collectives for machines with dead nodes or a partition. After the failure
+// detector confirms node deaths, the survivors rebuild their collective
+// trees over the live subgraph: dead ranks are excluded as tree nodes (they
+// neither contribute nor forward) and the tree is a BFS spanning tree of the
+// survivors (topo::survivor_parent / survivor_children).
+//
+// A rank whose kernel agent is flagged minority fails fast with
+// kMinorityPartition before touching the wire — a minority-side collective
+// can never represent the machine, so it must not silently compute over the
+// fragment. Primary-side ranks broadcast and reduce over that survivor tree
+// for their converged dead set and propagate wire failures (a peer dying
+// mid-collective) as kUnreachable instead of ignoring them. Only live
+// primary-side ranks participate; all must pass the same `dead` set (each
+// rank's MembershipView::dead_set() once views converge); `root` must be
+// alive.
 
 /// Quorum-gated broadcast over the survivor tree. kOk on every participant
 /// iff the payload reached the whole primary side.

@@ -26,9 +26,6 @@ namespace meshmp::net {
 /// Global node index within a cluster.
 using NodeId = std::int32_t;
 
-/// CRC-32 (IEEE 802.3 polynomial, bit-reflected) over a byte range.
-std::uint32_t crc32(std::span<const std::byte> data);
-
 /// Freelist allocator for the protocol headers carried in Frame::meta.
 /// std::any heap-allocates one header per frame (and per frame *copy* —
 /// retransmit queues, per-hop event captures), which made malloc a hot-path

@@ -3,9 +3,8 @@
 // Pooled event nodes and the lane queue behind sim::Engine.
 //
 //  - EventArena: a freelist of fixed-size EventNodes carved from chunked
-//    slabs (the buf::Pool capacity-class idiom, specialized to one size).
-//    Nodes never move once allocated and are recycled instead of freed, so
-//    steady-state scheduling performs zero heap allocations.
+//    slabs. Nodes never move once allocated and are recycled instead of
+//    freed, so steady-state scheduling performs zero heap allocations.
 //
 //  - EventQueue: per-delay FIFO lanes over the strict (when, seq) order.
 //    The modelled hardware schedules almost everything at a handful of

@@ -96,20 +96,7 @@ int Torus::distance(Rank from, Rank to) const {
 }
 
 std::optional<Dir> Torus::sdf_next(const Coord& from, const Coord& to) const {
-  int best_dim = -1;
-  int best_steps = 0;
-  for (int d = 0; d < ndims(); ++d) {
-    const int steps = std::abs(delta(from, to, d));
-    if (steps == 0) continue;
-    if (best_dim < 0 || steps < best_steps) {
-      best_dim = d;
-      best_steps = steps;
-    }
-  }
-  if (best_dim < 0) return std::nullopt;
-  const int sign = delta(from, to, best_dim) > 0 ? +1 : -1;
-  return Dir{static_cast<std::int8_t>(best_dim),
-             static_cast<std::int8_t>(sign)};
+  return sdf_next_avoiding(from, to, 0);
 }
 
 std::optional<Dir> Torus::sdf_next_avoiding(const Coord& from, const Coord& to,

@@ -74,9 +74,11 @@ class KernelAgent final : public hw::NicDriver {
   // -- NicDriver ----------------------------------------------------------
   sim::Task<> handle_rx(net::Frame frame, hw::IsrContext& ctx) override;
   /// Carrier change on an attached adapter: marks the direction (un)usable so
-  /// the forwarding path routes around it from the next frame on. There is no
-  /// cached route table — next hops are recomputed per frame — so one mask
-  /// update is the whole "recompute routes on failure" step.
+  /// the forwarding path routes around it from the next frame on, then
+  /// notifies the link observer. A route table installed by the lifecycle
+  /// (set_route_table) is not rebuilt here: a table hop whose link is down
+  /// falls through to the mask-aware SDF/detour path, so the mask update
+  /// alone keeps forwarding correct until the next table arrives.
   void link_change(hw::Nic& nic, bool up) override;
 
   /// Bitmask of this node's currently-dead local directions.

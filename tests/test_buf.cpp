@@ -1,6 +1,6 @@
-// Tests for the pooled zero-copy data path: buf::Pool / Buffer / Slice
-// semantics (refcounted aliasing, copy-on-write corruption, CRC memoization,
-// free-list recycling), the charge_copy accounting seam, the "buf.pool"
+// Tests for the zero-copy data path: buf::Pool / Buffer / Slice semantics
+// (refcounted aliasing, copy-on-write corruption, CRC memoization, one
+// allocation per get/stage), the charge_copy accounting seam, the "buf.pool"
 // quiesce audit, and an end-to-end payload-integrity property test that
 // pushes random payloads through routed forwarding, a corruption burst
 // (CRC discard + retransmit) and a mid-run link flap.
@@ -130,12 +130,23 @@ TEST(BufBuffer, ReleaseStealsStorageOutOfPoolAccounting) {
   EXPECT_EQ(pool.outstanding(), base);  // caller owns it now
 }
 
-TEST(BufPool, FreeListRecyclesStorage) {
+TEST(BufPool, GetAndStageAlwaysAllocate) {
+  // No storage is recycled: dropping a buffer and asking again for the same
+  // size is a second allocation, never a hit.
   auto& pool = buf::Pool::instance();
-  { buf::Buffer warm = pool.get(4096); }  // seed the 4 KiB class
-  const auto hits = pool.stats().pool_hits;
-  { buf::Buffer again = pool.get(4000); }  // smaller request, same class
-  EXPECT_GT(pool.stats().pool_hits, hits);
+  const auto before = pool.stats();
+  { buf::Buffer first = pool.get(4096); }
+  { buf::Buffer again = pool.get(4000); }
+  const auto gets = pool.stats();
+  EXPECT_EQ(gets.pool_misses, before.pool_misses + 2);
+  EXPECT_EQ(gets.pool_hits, before.pool_hits);
+
+  const auto bytes = pattern(4096, 4);
+  { buf::Slice first = pool.stage(bytes); }
+  { buf::Slice again = pool.stage(bytes); }
+  const auto stages = pool.stats();
+  EXPECT_EQ(stages.pool_misses, gets.pool_misses + 2);
+  EXPECT_EQ(stages.pool_hits, before.pool_hits);
 }
 
 // --- frame integration -------------------------------------------------------

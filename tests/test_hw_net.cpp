@@ -34,11 +34,11 @@ std::vector<std::byte> bytes_of(const char* s) {
 TEST(Crc32, KnownVector) {
   // CRC-32("123456789") = 0xCBF43926 (classic check value).
   auto data = bytes_of("123456789");
-  EXPECT_EQ(net::crc32(data), 0xCBF43926u);
+  EXPECT_EQ(buf::crc32(data), 0xCBF43926u);
 }
 
 TEST(Crc32, EmptyIsZero) {
-  EXPECT_EQ(net::crc32({}), 0x00000000u);
+  EXPECT_EQ(buf::crc32({}), 0x00000000u);
 }
 
 TEST(Frame, ChecksumDetectsBitFlip) {
