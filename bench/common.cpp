@@ -31,8 +31,7 @@ std::int64_t host_now_ns() {
 BenchReport::BenchReport(std::string name)
     : name_(std::move(name)), start_ns_(host_now_ns()) {
   // Fresh metrics for this bench only (a process may run several harnesses
-  // before the report is constructed), and honour MESHMP_TRACE if the tracer
-  // is compiled in.
+  // before the report is constructed), and honour MESHMP_TRACE.
   obs::Registry::instance().reset();
   // Copy accounting restarts with the bench too, so the charged_copies /
   // charged_bytes the report publishes are this bench's alone and the

@@ -6,9 +6,11 @@
 // and state-machine invariants (descriptor rings balanced, no leaked resource
 // holds, reassembly complete, event queue drained). Validators run only when
 // someone calls `Audit::quiesce()`, typically a test or the determinism
-// harness after the simulation has drained. Hot-path code additionally guards
-// inline checks behind `Audit::enabled()`, a single branch on a global bool,
-// so the audit layer is always compiled in but costs nothing when off.
+// harness after the simulation has drained. Hot paths also make a few inline
+// checks in every build and run (a resource released beyond its holds, time
+// going backwards at dispatch, a negative tx descriptor count, a cumulative
+// ack beyond the send sequence). Each is one integer compare whose failure
+// branch calls fail().
 //
 // A violation produces a labelled report. By default it is printed to stderr
 // and the process aborts; tests install a capturing handler (ScopedCapture)
@@ -36,11 +38,6 @@ struct Violation {
 class Audit {
  public:
   static Audit& instance();
-
-  /// Hot-path guard for inline checks. Off by default: enabling is the
-  /// test/CI opt-in, so benches run at full speed.
-  [[nodiscard]] static bool enabled() noexcept { return enabled_; }
-  static void set_enabled(bool on) noexcept { enabled_ = on; }
 
   /// A quiesce validator: inspects its subsystem and calls fail() for every
   /// violated invariant.
@@ -104,8 +101,6 @@ class Audit {
 
   /// Unregistration (Registration::release goes through here).
   void unwatch(std::uint64_t id) noexcept;
-
-  static inline bool enabled_ = false;
 
   std::uint64_t next_id_ = 1;
   // ordered -> deterministic runs

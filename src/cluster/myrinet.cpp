@@ -32,16 +32,13 @@ bool is_pow2(int n) { return n > 0 && (n & (n - 1)) == 0; }
 }  // namespace
 
 MyrinetCluster::MyrinetCluster(MyrinetConfig cfg) : cfg_(cfg) {
-  sim::Rng master(cfg_.seed);
   // Every node's host flops come from the Myrinet cluster's (slower) CPUs.
   cfg_.host.flops_per_sec = cfg_.gm.flops_per_sec;
   xbar_ = std::make_unique<net::Crossbar>(eng_, cfg_.nodes, cfg_.link,
-                                          cfg_.gm.switch_latency,
-                                          master.fork());
+                                          cfg_.gm.switch_latency);
   for (int r = 0; r < cfg_.nodes; ++r) {
     cpus_.push_back(std::make_unique<hw::Cpu>(eng_, cfg_.host));
-    ingress_.push_back(std::make_unique<net::SimplexPipe>(
-        eng_, cfg_.link, master.fork(), "gm.in" + std::to_string(r)));
+    ingress_.push_back(std::make_unique<net::SimplexPipe>(eng_, cfg_.link));
     ingress_.back()->set_sink(
         [this](net::Frame f) { xbar_->ingress(std::move(f)); });
     ports_.push_back(std::make_unique<GmPort>(*this, r, *cpus_.back(),

@@ -16,7 +16,6 @@
 #include "net/crossbar.hpp"
 #include "net/link.hpp"
 #include "sim/engine.hpp"
-#include "sim/rng.hpp"
 #include "sim/stats.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
@@ -91,7 +90,6 @@ struct MyrinetConfig {
   hw::HostParams host{};  ///< flops rate overridden by gm.flops_per_sec
   hw::MyrinetParams gm{};
   net::LinkParams link = hw::myrinet_link_params();
-  std::uint64_t seed = 1;
 };
 
 class MyrinetCluster {

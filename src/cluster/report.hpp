@@ -2,8 +2,9 @@
 
 // Post-run diagnostics: aggregates hardware and protocol counters across a
 // cluster into a printable summary (CPU utilization, interrupt counts, frame
-// totals, retransmissions, forwarding activity). Benches and examples use it
-// to explain *why* a configuration performed the way it did.
+// totals, retransmissions, forwarding activity). Only tests call
+// make_report(): the fault campaigns assert on its fields to explain *why* a
+// run behaved the way it did.
 
 #include <string>
 

@@ -157,10 +157,11 @@ struct Participant {
   /// Number of messages addressed to this node.
   int deliveries = 0;
 
-  /// Failure awareness (scatter_failaware only). When set, the receiver
-  /// tracks each expected message with the ranks upstream of this node on
-  /// its route; a cancelled receive (msg.ok == false) makes it give up on
-  /// every expectation whose upstream path crossed a now-dead node.
+  /// Failure awareness (scatter only). The receiver tracks each expected
+  /// message with the ranks upstream of this node on its route; a cancelled
+  /// receive (msg.ok == false) makes it give up on every expectation whose
+  /// upstream path crossed a now-dead node. Gather and alltoall set neither
+  /// and receive exactly forward_count + deliveries messages.
   std::function<bool(topo::Rank)> is_dead;
   struct Expected {
     topo::Rank dest = 0;
@@ -186,31 +187,11 @@ struct Participant {
   }
 
   Task<> receiver(sim::Queue<std::vector<std::byte>>& work) {
-    if (is_dead) {
-      co_await receiver_failaware(work);
-      co_return;
-    }
     sim::TaskGroup acks(ep.engine());
-    int remaining = forward_count + deliveries;
-    while (remaining-- > 0) {
-      mp::Message msg = co_await ep.recv(mp::Endpoint::kAny, tag);
-      const RouteHead h = head_of(msg.data);
-      if (single_port) {
-        acks.add(send_ack(prev_hop(t, ep.rank(), h)));
-      }
-      if (h.dest == ep.rank()) {
-        delivered_heads.push_back(h);
-        delivered.push_back(strip(std::move(msg.data)));
-      } else {
-        work.push(std::move(msg.data));
-      }
-    }
-    co_await acks.join();
-  }
-
-  Task<> receiver_failaware(sim::Queue<std::vector<std::byte>>& work) {
-    sim::TaskGroup acks(ep.engine());
-    int unresolved = static_cast<int>(expected.size());
+    // A scatter ends once each expectation is received or given up; gather
+    // and alltoall, which have none, once every message has arrived.
+    int unresolved = expected.empty() ? forward_count + deliveries
+                                      : static_cast<int>(expected.size());
     while (unresolved > 0) {
       mp::Message msg = co_await ep.recv(mp::Endpoint::kAny, tag);
       if (!msg.ok) {
@@ -234,6 +215,7 @@ struct Participant {
       if (single_port) {
         acks.add(send_ack(prev_hop(t, ep.rank(), h)));
       }
+      if (expected.empty()) --unresolved;
       for (Expected& e : expected) {
         if (!e.resolved && e.dest == h.dest) {
           e.resolved = true;
@@ -287,7 +269,7 @@ struct Participant {
   }
 
   Task<> worker(sim::Queue<std::vector<std::byte>>& work) {
-    [[maybe_unused]] std::int32_t trk = -1;
+    std::int32_t trk = -1;
     MESHMP_TRACE_TRACK(trk, ep.rank(), "coll");
     sim::TaskGroup group(ep.engine());
     // Own emissions first (FCFS / region order fixed by the plan)...
@@ -372,46 +354,9 @@ Task<std::vector<std::byte>> scatter(
     mp::Endpoint& ep, topo::Rank root,
     const std::vector<std::vector<std::byte>>* chunks, int tag,
     ScatterAlg alg) {
-  const topo::Torus& t = ep.agent().torus();
-  const topo::Rank me = ep.rank();
-  [[maybe_unused]] std::int32_t trk = -1;
-  MESHMP_TRACE_TRACK(trk, me, "coll");
-  MESHMP_TRACE_SCOPE_ARG(ep.engine(), obs::Cat::kColl, me, trk, "scatter",
-                         "root", root);
-  const ScatterPlan plan = make_scatter_plan(t, root, alg);
-
-  Participant part(ep, t, tag, alg == ScatterAlg::kSdf);
-  part.forward_count = plan.forward_count[static_cast<std::size_t>(me)];
-
-  std::vector<std::byte> own;
-  if (me == root) {
-    if (chunks == nullptr ||
-        chunks->size() != static_cast<std::size_t>(t.size())) {
-      throw std::invalid_argument("scatter: root needs size() chunks");
-    }
-    own = (*chunks)[static_cast<std::size_t>(root)];
-    for (topo::Rank d : plan.emit_order) {
-      const auto& route = plan.routes[static_cast<std::size_t>(d)];
-      RouteHead h = make_head(root, d, route);
-      h.hop_idx = 1;  // the root itself performs hop 0
-      auto next = t.neighbor(root, route.front());
-      assert(next);
-      part.emissions.emplace_back(
-          *next, wrap(h, (*chunks)[static_cast<std::size_t>(d)]));
-    }
-  } else {
-    if (chunks != nullptr) {
-      throw std::invalid_argument("scatter: only the root passes chunks");
-    }
-    part.deliveries = 1;
-  }
-
-  co_await part.run();
-  if (me != root) {
-    assert(part.delivered.size() == 1);
-    own = std::move(part.delivered.front());
-  }
-  co_return own;
+  ScatterResult res = co_await scatter_failaware(
+      ep, root, chunks, tag, alg, [](topo::Rank) { return false; });
+  co_return std::move(res.data);
 }
 
 Task<ScatterResult> scatter_failaware(
@@ -420,10 +365,10 @@ Task<ScatterResult> scatter_failaware(
     std::function<bool(topo::Rank)> is_dead) {
   const topo::Torus& t = ep.agent().torus();
   const topo::Rank me = ep.rank();
-  [[maybe_unused]] std::int32_t trk = -1;
+  std::int32_t trk = -1;
   MESHMP_TRACE_TRACK(trk, me, "coll");
-  MESHMP_TRACE_SCOPE_ARG(ep.engine(), obs::Cat::kColl, me, trk,
-                         "scatter_failaware", "root", root);
+  MESHMP_TRACE_SCOPE_ARG(ep.engine(), obs::Cat::kColl, me, trk, "scatter",
+                         "root", root);
   const ScatterPlan plan = make_scatter_plan(t, root, alg);
 
   Participant part(ep, t, tag, alg == ScatterAlg::kSdf);
@@ -492,7 +437,7 @@ Task<std::vector<std::vector<std::byte>>> gather(mp::Endpoint& ep,
                                                  int tag, ScatterAlg alg) {
   const topo::Torus& t = ep.agent().torus();
   const topo::Rank me = ep.rank();
-  [[maybe_unused]] std::int32_t trk = -1;
+  std::int32_t trk = -1;
   MESHMP_TRACE_TRACK(trk, me, "coll");
   MESHMP_TRACE_SCOPE_ARG(ep.engine(), obs::Cat::kColl, me, trk, "gather",
                          "root", root);
@@ -548,7 +493,7 @@ Task<std::vector<std::vector<std::byte>>> alltoall(
   if (chunks.size() != static_cast<std::size_t>(t.size())) {
     throw std::invalid_argument("alltoall: need size() chunks");
   }
-  [[maybe_unused]] std::int32_t trk = -1;
+  std::int32_t trk = -1;
   MESHMP_TRACE_TRACK(trk, me, "coll");
   MESHMP_TRACE_SCOPE_ARG(ep.engine(), obs::Cat::kColl, me, trk, "alltoall",
                          "ranks", t.size());

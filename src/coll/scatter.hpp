@@ -45,7 +45,7 @@ ScatterPlan make_scatter_plan(const topo::Torus& t, topo::Rank root,
 
 /// SPMD scatter. At the root, `chunks` must point to size() buffers (chunk
 /// [root] is returned locally); elsewhere it must be null. Returns this
-/// rank's chunk.
+/// rank's chunk. This is scatter_failaware() with no rank ever dead.
 sim::Task<std::vector<std::byte>> scatter(
     mp::Endpoint& ep, topo::Rank root,
     const std::vector<std::vector<std::byte>>* chunks, int tag,
@@ -68,8 +68,7 @@ struct ScatterResult {
 /// each re-evaluates its expected messages and gives up on any whose
 /// upstream path crossed a dead node. Every surviving rank terminates with
 /// either its correct chunk (ok == true) or a clean unreachable outcome
-/// (ok == false) — never a hang. Fault-free runs behave exactly like
-/// scatter().
+/// (ok == false) — never a hang.
 sim::Task<ScatterResult> scatter_failaware(
     mp::Endpoint& ep, topo::Rank root,
     const std::vector<std::vector<std::byte>>* chunks, int tag, ScatterAlg alg,

@@ -10,21 +10,11 @@ namespace meshmp::coll {
 
 using sim::Task;
 
-std::optional<topo::Rank> bcast_parent(const topo::Torus& t, topo::Rank root,
-                                       topo::Rank me) {
-  return topo::bcast_parent(t, root, me);
-}
-
-std::vector<topo::Rank> bcast_children(const topo::Torus& t, topo::Rank root,
-                                       topo::Rank me) {
-  return topo::bcast_children(t, root, me);
-}
-
 Task<> broadcast(mp::Endpoint& ep, topo::Rank root,
                  std::vector<std::byte>& data, int tag) {
   const topo::Torus& t = ep.agent().torus();
   const topo::Rank me = ep.rank();
-  [[maybe_unused]] std::int32_t trk = -1;
+  std::int32_t trk = -1;
   MESHMP_TRACE_TRACK(trk, me, "coll");
   MESHMP_TRACE_SCOPE_ARG(ep.engine(), obs::Cat::kColl, me, trk, "broadcast",
                          "bytes", data.size());
@@ -49,7 +39,7 @@ Task<> reduce(mp::Endpoint& ep, topo::Rank root, std::vector<std::byte>& data,
               const ReduceOp& op, int tag) {
   const topo::Torus& t = ep.agent().torus();
   const topo::Rank me = ep.rank();
-  [[maybe_unused]] std::int32_t trk = -1;
+  std::int32_t trk = -1;
   MESHMP_TRACE_TRACK(trk, me, "coll");
   MESHMP_TRACE_SCOPE_ARG(ep.engine(), obs::Cat::kColl, me, trk, "reduce",
                          "bytes", data.size());
@@ -108,7 +98,7 @@ Task<mp::SendStatus> broadcast_quorum(mp::Endpoint& ep, topo::Rank root,
   if (ep.agent().minority()) co_return mp::SendStatus::kMinorityPartition;
   const topo::Torus& t = ep.agent().torus();
   const topo::Rank me = ep.rank();
-  [[maybe_unused]] std::int32_t trk = -1;
+  std::int32_t trk = -1;
   MESHMP_TRACE_TRACK(trk, me, "coll");
   MESHMP_TRACE_SCOPE_ARG(ep.engine(), obs::Cat::kColl, me, trk,
                          "broadcast_quorum", "bytes", data.size());
@@ -139,7 +129,7 @@ Task<mp::SendStatus> reduce_quorum(mp::Endpoint& ep, topo::Rank root,
   if (ep.agent().minority()) co_return mp::SendStatus::kMinorityPartition;
   const topo::Torus& t = ep.agent().torus();
   const topo::Rank me = ep.rank();
-  [[maybe_unused]] std::int32_t trk = -1;
+  std::int32_t trk = -1;
   MESHMP_TRACE_TRACK(trk, me, "coll");
   MESHMP_TRACE_SCOPE_ARG(ep.engine(), obs::Cat::kColl, me, trk,
                          "reduce_quorum", "bytes", data.size());

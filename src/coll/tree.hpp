@@ -9,7 +9,6 @@
 // what that rank ends up with. Tags must come from a per-operation tag space
 // (the MPI/QMP layers allocate them).
 
-#include <optional>
 #include <vector>
 
 #include "coll/reduce_op.hpp"
@@ -17,16 +16,6 @@
 #include "topo/torus.hpp"
 
 namespace meshmp::coll {
-
-/// The broadcast spanning tree rooted at `root`: a node's parent is one hop
-/// toward the root along its *highest* displaced dimension, so data flows
-/// dimension 0 first, exactly the paper's axis/plane order.
-std::optional<topo::Rank> bcast_parent(const topo::Torus& t, topo::Rank root,
-                                       topo::Rank me);
-
-/// All nodes whose bcast_parent is `me` (the ranks this node must forward to).
-std::vector<topo::Rank> bcast_children(const topo::Torus& t, topo::Rank root,
-                                       topo::Rank me);
 
 /// Dimension-ordered broadcast; on return every rank's `data` holds the
 /// root's buffer.

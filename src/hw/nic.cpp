@@ -1,6 +1,5 @@
 #include "hw/nic.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -102,12 +101,6 @@ void Nic::power_on() {
   counters_.inc("power_on_events");
 }
 
-sim::Duration Nic::wire_time(std::int64_t wire_bytes) const {
-  const std::int64_t on_wire = std::max(wire_bytes, wire_.min_frame_bytes) +
-                               wire_.per_frame_overhead_bytes;
-  return sim::transfer_time(on_wire, wire_.bytes_per_sec);
-}
-
 bool Nic::post_tx(net::Frame frame) {
   if (!powered_) {
     // A dead host has no caller left to block: accept and discard so stale
@@ -174,7 +167,7 @@ sim::Task<> Nic::dma_pump() {
         sim::Resource::kKernelPriority);
     // Descriptor is done as soon as the data reaches the adapter FIFO.
     --tx_queued_;
-    if (chk::Audit::enabled() && tx_queued_ < 0) {
+    if (tx_queued_ < 0) [[unlikely]] {
       chk::Audit::instance().fail("hw.nic." + name_,
                                   "tx descriptor count went negative");
     }
@@ -192,7 +185,7 @@ sim::Task<> Nic::wire_pump() {
     MESHMP_TRACE_SCOPE_ARG(cpu_.engine(), obs::Cat::kNic, node_, trk_wire_,
                            "serialize", "wire_bytes", f.wire_bytes);
     while (stalled_) co_await stall_cleared_.next();
-    co_await sim::delay(cpu_.engine(), wire_time(f.wire_bytes));
+    co_await sim::delay(cpu_.engine(), wire_.wire_time(f.wire_bytes));
     tx_fifo_slots_.release();
     if (tx_severed_) {
       // Gray cable: only the transmit pairs are broken, so the PHY never
@@ -255,7 +248,7 @@ void Nic::receive(net::Frame f) {
     counters_.inc("carrier_rx_dropped");
     return;
   }
-  if (params_.hw_checksum && !f.payload.empty() && !f.checksum_ok()) {
+  if (!f.payload.empty() && !f.checksum_ok()) {
     counters_.inc("rx_checksum_drop");
     MESHMP_TRACE_INSTANT(cpu_.engine(), obs::Cat::kNic, node_,
                          "rx_checksum_drop");

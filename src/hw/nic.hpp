@@ -10,8 +10,8 @@
 // Receive: bus DMA into a host ring buffer -> interrupt coalescing (the
 // driver's "receive interrupt delay") -> ISR runs on the host CPU at
 // interrupt priority and hands each frame to the attached protocol driver.
-// Hardware checksum verification discards corrupted frames before the host
-// ever sees them.
+// Hardware checksum verification (the Pro/1000MT's, paper sec. 4) discards
+// corrupted frames before the host ever sees them.
 
 #include <deque>
 #include <functional>
@@ -144,9 +144,6 @@ class Nic {
   [[nodiscard]] net::LinkParams& wire_params() noexcept { return wire_; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] net::NodeId node() const noexcept { return node_; }
-
-  /// Wire time for a frame of the given modelled size.
-  [[nodiscard]] sim::Duration wire_time(std::int64_t wire_bytes) const;
 
  private:
   void receive(net::Frame f);

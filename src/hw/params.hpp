@@ -73,8 +73,6 @@ struct HostParams {
   Duration tcp_forward_per_frame = 2500_ns;
   /// Software checksum (no offload on the TCP receive path in this era).
   double tcp_csum_bytes_per_sec = 1.5e9;
-  /// Data segments per delayed ACK.
-  int tcp_ack_every = 2;
   /// Cost to build + send an ACK (receiver) and to absorb one (sender).
   Duration tcp_ack_tx = 1000_ns;
   Duration tcp_ack_rx = 2000_ns;
@@ -102,9 +100,6 @@ struct NicParams {
   /// The dominant term in the 18.5 us small-message latency; ablation bench
   /// `ablation_coalescing` sweeps it.
   Duration rx_interrupt_delay = 12600_ns;
-  /// True if the adapter verifies checksums in hardware (Pro/1000MT does;
-  /// paper sec. 4: hardware checksum "without degrading performance").
-  bool hw_checksum = true;
 
   /// NAPI-style interrupt mitigation (paper sec. 7 future work: "a possible
   /// new M-VIA feature, similar to the NAPI appeared in Linux kernel 2.6").

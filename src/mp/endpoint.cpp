@@ -16,7 +16,7 @@ using sim::Task;
 namespace {
 
 /// Unique id for an mp-layer async trace span (rank + per-endpoint counter).
-[[maybe_unused]] std::uint64_t mp_span_id(int rank, std::uint64_t seq) {
+std::uint64_t mp_span_id(int rank, std::uint64_t seq) {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(rank)) << 40) |
          (seq & 0xff'ffff'ffffull);
 }
@@ -246,7 +246,7 @@ Task<SendStatus> Endpoint::send(int dst, int tag, buf::Slice data) {
 
   if (size < params_.eager_threshold) {
     eager_bytes_hist_.add(size);
-    [[maybe_unused]] const std::uint64_t span =
+    const std::uint64_t span =
         mp_span_id(rank(), ++trace_send_seq_);
     MESHMP_TRACE_ASYNC_SCOPE(engine(), obs::Cat::kMp, rank(), "eager_send",
                              span);
@@ -274,7 +274,7 @@ Task<SendStatus> Endpoint::send(int dst, int tag, buf::Slice data) {
   // Rendezvous: announce, wait for the receiver's RTR (sender-side matched
   // by id), RMA-write, FIN.
   rndv_bytes_hist_.add(size);
-  [[maybe_unused]] const std::uint64_t span =
+  const std::uint64_t span =
       mp_span_id(rank(), ++trace_send_seq_);
   MESHMP_TRACE_ASYNC_SCOPE(engine(), obs::Cat::kMp, rank(), "rndv_send", span);
   const std::uint32_t id = (next_rndv_id_++ & 0xffffffu);

@@ -6,12 +6,11 @@
 namespace meshmp::net {
 
 Crossbar::Crossbar(sim::Engine& eng, int ports, LinkParams port_params,
-                   sim::Duration switch_latency, sim::Rng rng)
+                   sim::Duration switch_latency)
     : eng_(eng), switch_latency_(switch_latency) {
   egress_.reserve(static_cast<std::size_t>(ports));
   for (int p = 0; p < ports; ++p) {
-    egress_.push_back(std::make_unique<SimplexPipe>(
-        eng, port_params, rng.fork(), "xbar.out" + std::to_string(p)));
+    egress_.push_back(std::make_unique<SimplexPipe>(eng, port_params));
   }
 }
 

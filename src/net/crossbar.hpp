@@ -15,7 +15,6 @@
 #include "net/frame.hpp"
 #include "net/link.hpp"
 #include "sim/engine.hpp"
-#include "sim/rng.hpp"
 
 namespace meshmp::net {
 
@@ -24,7 +23,7 @@ class Crossbar {
   /// `port_params` describes each node-to-switch cable; egress serialization
   /// happens at this same rate.
   Crossbar(sim::Engine& eng, int ports, LinkParams port_params,
-           sim::Duration switch_latency, sim::Rng rng);
+           sim::Duration switch_latency);
 
   /// Registers the sink for frames leaving output port `port` (the attached
   /// node's NIC rx entry).

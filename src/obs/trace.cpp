@@ -332,7 +332,6 @@ bool trace_init_from_env() {
   // mt-unsafe getenv cannot race a setenv.
   const char* path = std::getenv("MESHMP_TRACE");  // NOLINT(concurrency-mt-unsafe)
   if (path == nullptr || *path == '\0') return false;
-#if MESHMP_OBS_TRACING
   Tracer& tr = Tracer::instance();
   tr.enable();
   if (const char* cats = std::getenv("MESHMP_TRACE_CATS");  // NOLINT(concurrency-mt-unsafe)
@@ -356,13 +355,6 @@ bool trace_init_from_env() {
   }
   g_env_trace_path = path;
   return true;
-#else
-  std::fprintf(stderr,
-               "obs: MESHMP_TRACE=%s ignored — tracer compiled out; "
-               "reconfigure with -DMESHMP_TRACING=ON\n",
-               path);
-  return false;
-#endif
 }
 
 void trace_flush_env() {
@@ -377,44 +369,26 @@ void trace_flush_env() {
   tr.disable();
 }
 
-SpanHandle::SpanHandle(sim::Engine& eng, Cat cat, std::int32_t node,
-                       std::int32_t track, const char* name,
-                       const char* arg_name, double arg)
-    : name_(name),
-      arg_name_(arg_name),
-      arg_(arg),
-      node_(node),
-      track_(track),
-      cat_(cat) {
-  if (Tracer::instance().wants(cat)) {
-    eng_ = &eng;
-    t0_ = eng.now();
-  }
+void SpanHandle::start(sim::Engine& eng) {
+  eng_ = &eng;
+  t0_ = eng.now();
 }
 
-AsyncScope::AsyncScope(sim::Engine& eng, Cat cat, std::int32_t node,
-                       const char* name, std::uint64_t id)
-    : name_(name), id_(id), node_(node), cat_(cat) {
-  Tracer& tr = Tracer::instance();
-  if (tr.wants(cat)) {
-    eng_ = &eng;
-    tr.async_begin(eng.now(), cat, node, name, id);
-  }
-}
-
-AsyncScope::~AsyncScope() {
-  if (eng_ == nullptr) return;
-  Tracer& tr = Tracer::instance();
-  if (!tr.wants(cat_)) return;
-  tr.async_end(eng_->now(), cat_, node_, name_, id_);
-}
-
-SpanHandle::~SpanHandle() {
-  if (eng_ == nullptr) return;
-  Tracer& tr = Tracer::instance();
-  if (!tr.wants(cat_)) return;
+void SpanHandle::finish() {
+  if (!Tracer::wants(cat_)) return;
   const sim::Time t1 = eng_->now();
-  tr.complete(t0_, t1 - t0_, cat_, node_, track_, name_, arg_name_, arg_);
+  Tracer::instance().complete(t0_, t1 - t0_, cat_, node_, track_, name_,
+                              arg_name_, arg_);
+}
+
+void AsyncScope::begin(sim::Engine& eng) {
+  eng_ = &eng;
+  Tracer::instance().async_begin(eng.now(), cat_, node_, name_, id_);
+}
+
+void AsyncScope::end() {
+  if (!Tracer::wants(cat_)) return;
+  Tracer::instance().async_end(eng_->now(), cat_, node_, name_, id_);
 }
 
 }  // namespace meshmp::obs

@@ -10,11 +10,11 @@
 // processes and named tracks to threads.
 //
 // Cost model:
-//  * Compile-time off by default. Without MESHMP_OBS_TRACING every
-//    MESHMP_TRACE_* macro expands to ((void)0) — zero code, zero data.
-//    Configure with -DMESHMP_TRACING=ON to compile the instrumentation in.
-//  * Runtime off by default. Compiled-in macros test one global bool and a
-//    category bit before touching anything else.
+//  * Compiled into every build, off at run time. trace_init_from_env() turns
+//    it on when MESHMP_TRACE names an output file.
+//  * An idle instrumentation site costs one load of a static flag and a
+//    branch: Tracer::wants() is inline and reads static state, so no call
+//    is made and no track name is built while tracing is off.
 //  * Ring-buffered when on: a fixed-capacity buffer overwrites the oldest
 //    events, so tracing a long run keeps the tail and never grows unbounded.
 //
@@ -86,12 +86,13 @@ class Tracer {
 
   /// Starts recording into a fresh ring of `capacity` events.
   void enable(std::size_t capacity = kDefaultCapacity);
-  void disable() { enabled_ = false; }
-  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
+  static void disable() noexcept { enabled_ = false; }
+  [[nodiscard]] static bool enabled() noexcept { return enabled_; }
 
-  void set_categories(std::uint32_t mask) noexcept { cat_mask_ = mask; }
-  [[nodiscard]] std::uint32_t categories() const noexcept { return cat_mask_; }
-  [[nodiscard]] bool wants(Cat c) const noexcept {
+  static void set_categories(std::uint32_t mask) noexcept { cat_mask_ = mask; }
+  [[nodiscard]] static std::uint32_t categories() noexcept { return cat_mask_; }
+  /// The test every instrumentation site makes before anything else.
+  [[nodiscard]] static bool wants(Cat c) noexcept {
     return enabled_ && (cat_mask_ & cat_bit(c)) != 0;
   }
 
@@ -132,8 +133,9 @@ class Tracer {
   Tracer() = default;
   void push(const TraceEvent& ev);
 
-  bool enabled_ = false;
-  std::uint32_t cat_mask_ = kDefaultCatMask;
+  // Static so that wants() compiles to a direct load at every site.
+  static inline bool enabled_ = false;
+  static inline std::uint32_t cat_mask_ = kDefaultCatMask;
   std::vector<TraceEvent> ring_;
   std::size_t capacity_ = 0;
   std::size_t head_ = 0;  ///< next write position
@@ -154,8 +156,7 @@ double span_coverage(const std::vector<TraceEvent>& events, std::int32_t node,
 
 /// Enables tracing when the MESHMP_TRACE environment variable names an
 /// output path (MESHMP_TRACE_CATS optionally selects categories as a comma
-/// list, e.g. "nic,via,sim"). Returns true when tracing was enabled. When
-/// the tracer is compiled out, warns on stderr and returns false.
+/// list, e.g. "nic,via,sim"). Returns true when tracing was enabled.
 bool trace_init_from_env();
 /// Writes the trace to the path captured by trace_init_from_env(), if any.
 void trace_flush_env();
@@ -168,12 +169,25 @@ class SpanHandle {
  public:
   SpanHandle(sim::Engine& eng, Cat cat, std::int32_t node, std::int32_t track,
              const char* name, const char* arg_name = nullptr,
-             double arg = 0);
+             double arg = 0)
+      : name_(name),
+        arg_name_(arg_name),
+        arg_(arg),
+        node_(node),
+        track_(track),
+        cat_(cat) {
+    if (Tracer::wants(cat)) start(eng);
+  }
   SpanHandle(const SpanHandle&) = delete;
   SpanHandle& operator=(const SpanHandle&) = delete;
-  ~SpanHandle();
+  ~SpanHandle() {
+    if (eng_ != nullptr) finish();
+  }
 
  private:
+  void start(sim::Engine& eng);
+  void finish();
+
   sim::Engine* eng_ = nullptr;  ///< null when tracing was off at construction
   sim::Time t0_ = 0;
   const char* name_ = nullptr;
@@ -192,12 +206,20 @@ class SpanHandle {
 class AsyncScope {
  public:
   AsyncScope(sim::Engine& eng, Cat cat, std::int32_t node, const char* name,
-             std::uint64_t id);
+             std::uint64_t id)
+      : name_(name), id_(id), node_(node), cat_(cat) {
+    if (Tracer::wants(cat)) begin(eng);
+  }
   AsyncScope(const AsyncScope&) = delete;
   AsyncScope& operator=(const AsyncScope&) = delete;
-  ~AsyncScope();
+  ~AsyncScope() {
+    if (eng_ != nullptr) end();
+  }
 
  private:
+  void begin(sim::Engine& eng);
+  void end();
+
   sim::Engine* eng_ = nullptr;  ///< null when tracing was off at construction
   const char* name_ = nullptr;
   std::uint64_t id_ = 0;
@@ -209,7 +231,9 @@ class AsyncScope {
 
 // --------------------------------------------------------------------------
 // Instrumentation macros. These are the only spellings components should
-// use: they vanish entirely when MESHMP_OBS_TRACING is not defined.
+// use: each one tests Tracer::wants() (or enabled()) before it records an
+// event or builds a track name, so that work costs nothing while tracing is
+// off.
 //
 //   MESHMP_TRACE_SCOPE(eng, cat, node, track_id, "name")
 //     RAII span on an interned track (see MESHMP_TRACE_TRACK).
@@ -219,8 +243,6 @@ class AsyncScope {
 //   MESHMP_TRACE_INSTANT / _ASYNC_BEGIN / _ASYNC_END / _COUNTER
 //     Single events; cheap enough for ISR paths.
 // --------------------------------------------------------------------------
-
-#if MESHMP_OBS_TRACING
 
 #define MESHMP_TRACE_CONCAT2(a, b) a##b
 #define MESHMP_TRACE_CONCAT(a, b) MESHMP_TRACE_CONCAT2(a, b)
@@ -238,71 +260,54 @@ class AsyncScope {
 
 #define MESHMP_TRACE_TRACK(var, node, trackname)                            \
   do {                                                                      \
-    if ((var) < 0 && ::meshmp::obs::Tracer::instance().enabled()) {         \
+    if ((var) < 0 && ::meshmp::obs::Tracer::enabled()) {                    \
       (var) = ::meshmp::obs::Tracer::instance().track((node), (trackname)); \
     }                                                                       \
   } while (0)
 
-#define MESHMP_TRACE_INSTANT(eng, cat, node, name)                        \
-  do {                                                                    \
-    auto& meshmp_trace_tr = ::meshmp::obs::Tracer::instance();            \
-    if (meshmp_trace_tr.wants(cat)) {                                     \
-      meshmp_trace_tr.instant((eng).now(), (cat), (node), (name));        \
-    }                                                                     \
+#define MESHMP_TRACE_INSTANT(eng, cat, node, name)                          \
+  do {                                                                      \
+    if (::meshmp::obs::Tracer::wants(cat)) {                                \
+      ::meshmp::obs::Tracer::instance().instant((eng).now(), (cat), (node), \
+                                                (name));                    \
+    }                                                                       \
   } while (0)
 
-#define MESHMP_TRACE_INSTANT_ARG(eng, cat, node, name, argname, argval)   \
-  do {                                                                    \
-    auto& meshmp_trace_tr = ::meshmp::obs::Tracer::instance();            \
-    if (meshmp_trace_tr.wants(cat)) {                                     \
-      meshmp_trace_tr.instant((eng).now(), (cat), (node), (name),         \
-                              (argname), static_cast<double>(argval));    \
-    }                                                                     \
+#define MESHMP_TRACE_INSTANT_ARG(eng, cat, node, name, argname, argval)     \
+  do {                                                                      \
+    if (::meshmp::obs::Tracer::wants(cat)) {                                \
+      ::meshmp::obs::Tracer::instance().instant(                            \
+          (eng).now(), (cat), (node), (name), (argname),                    \
+          static_cast<double>(argval));                                     \
+    }                                                                       \
   } while (0)
 
-#define MESHMP_TRACE_ASYNC_SCOPE(eng, cat, node, name, id)                \
-  ::meshmp::obs::AsyncScope MESHMP_TRACE_CONCAT(meshmp_trace_async_,      \
-                                                __LINE__)(                \
+#define MESHMP_TRACE_ASYNC_SCOPE(eng, cat, node, name, id)                  \
+  ::meshmp::obs::AsyncScope MESHMP_TRACE_CONCAT(meshmp_trace_async_,        \
+                                                __LINE__)(                  \
       (eng), (cat), (node), (name), (id))
 
-#define MESHMP_TRACE_ASYNC_BEGIN(eng, cat, node, name, id)                \
-  do {                                                                    \
-    auto& meshmp_trace_tr = ::meshmp::obs::Tracer::instance();            \
-    if (meshmp_trace_tr.wants(cat)) {                                     \
-      meshmp_trace_tr.async_begin((eng).now(), (cat), (node), (name),     \
-                                  (id));                                  \
-    }                                                                     \
+#define MESHMP_TRACE_ASYNC_BEGIN(eng, cat, node, name, id)                  \
+  do {                                                                      \
+    if (::meshmp::obs::Tracer::wants(cat)) {                                \
+      ::meshmp::obs::Tracer::instance().async_begin((eng).now(), (cat),     \
+                                                    (node), (name), (id));  \
+    }                                                                       \
   } while (0)
 
-#define MESHMP_TRACE_ASYNC_END(eng, cat, node, name, id)                  \
-  do {                                                                    \
-    auto& meshmp_trace_tr = ::meshmp::obs::Tracer::instance();            \
-    if (meshmp_trace_tr.wants(cat)) {                                     \
-      meshmp_trace_tr.async_end((eng).now(), (cat), (node), (name), (id)); \
-    }                                                                     \
+#define MESHMP_TRACE_ASYNC_END(eng, cat, node, name, id)                    \
+  do {                                                                      \
+    if (::meshmp::obs::Tracer::wants(cat)) {                                \
+      ::meshmp::obs::Tracer::instance().async_end((eng).now(), (cat),       \
+                                                  (node), (name), (id));    \
+    }                                                                       \
   } while (0)
 
-#define MESHMP_TRACE_COUNTER(eng, cat, node, name, value)                 \
-  do {                                                                    \
-    auto& meshmp_trace_tr = ::meshmp::obs::Tracer::instance();            \
-    if (meshmp_trace_tr.wants(cat)) {                                     \
-      meshmp_trace_tr.counter((eng).now(), (cat), (node), (name),         \
-                              static_cast<double>(value));                \
-    }                                                                     \
+#define MESHMP_TRACE_COUNTER(eng, cat, node, name, value)                   \
+  do {                                                                      \
+    if (::meshmp::obs::Tracer::wants(cat)) {                                \
+      ::meshmp::obs::Tracer::instance().counter((eng).now(), (cat), (node), \
+                                                (name),                     \
+                                                static_cast<double>(value)); \
+    }                                                                       \
   } while (0)
-
-#else  // !MESHMP_OBS_TRACING
-
-#define MESHMP_TRACE_SCOPE(eng, cat, node, track, name) ((void)0)
-#define MESHMP_TRACE_SCOPE_ARG(eng, cat, node, track, name, argname, argval) \
-  ((void)0)
-#define MESHMP_TRACE_TRACK(var, node, trackname) ((void)0)
-#define MESHMP_TRACE_INSTANT(eng, cat, node, name) ((void)0)
-#define MESHMP_TRACE_INSTANT_ARG(eng, cat, node, name, argname, argval) \
-  ((void)0)
-#define MESHMP_TRACE_ASYNC_SCOPE(eng, cat, node, name, id) ((void)0)
-#define MESHMP_TRACE_ASYNC_BEGIN(eng, cat, node, name, id) ((void)0)
-#define MESHMP_TRACE_ASYNC_END(eng, cat, node, name, id) ((void)0)
-#define MESHMP_TRACE_COUNTER(eng, cat, node, name, value) ((void)0)
-
-#endif  // MESHMP_OBS_TRACING

@@ -263,8 +263,7 @@ class Resource {
   }
 
   void release(std::int64_t amount = 1) {
-    assert(amount > 0 && amount <= in_use_);
-    if (chk::Audit::enabled() && (amount <= 0 || amount > in_use_)) {
+    if (amount <= 0 || amount > in_use_) [[unlikely]] {
       chk::Audit::instance().fail(
           "sim.resource." + name_,
           "release(" + std::to_string(amount) + ") with only " +

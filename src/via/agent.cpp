@@ -573,7 +573,7 @@ Task<> KernelAgent::rx_rma(Vi& vi, const ViaHeader& h, net::Frame& f,
 }
 
 void KernelAgent::rx_ack(Vi& vi, const ViaHeader& h) {
-  if (chk::Audit::enabled() && h.ack_seq > vi.next_seq_) {
+  if (h.ack_seq > vi.next_seq_) [[unlikely]] {
     chk::Audit::instance().fail(
         "via.vi", "node " + std::to_string(me_) + " vi " +
                       std::to_string(vi.id()) + ": cumulative ack " +

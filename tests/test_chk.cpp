@@ -32,12 +32,6 @@ using via::KernelAgent;
 using via::RecvCompletion;
 using via::Vi;
 
-/// Toggles the hot-path audit gate for one test.
-struct ScopedEnable {
-  ScopedEnable() { Audit::set_enabled(true); }
-  ~ScopedEnable() { Audit::set_enabled(false); }
-};
-
 std::vector<std::byte> pattern(std::size_t n, std::uint8_t seed = 1) {
   std::vector<std::byte> v(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -138,10 +132,6 @@ TEST(AuditRegistry, QuiesceReturnsViolationCount) {
   EXPECT_EQ(Audit::instance().quiesce(), 2u);
 }
 
-TEST(AuditRegistry, EnabledGateIsOffByDefault) {
-  EXPECT_FALSE(Audit::enabled());
-}
-
 // --- engine ----------------------------------------------------------------
 
 TEST(AuditEngine, CleanAfterDrainedRun) {
@@ -198,7 +188,6 @@ TEST(AuditResource, StarvedWaiterIsCaughtAtQuiesce) {
 }
 
 TEST(AuditResource, OverReleaseIsCaughtInline) {
-  ScopedEnable on;
   Engine eng;
   Resource res(eng, 1, "overrelease");
   ScopedCapture cap;

@@ -22,6 +22,7 @@
 #include "mp/endpoint.hpp"
 #include "net/quality.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "sim/engine.hpp"
 #include "topo/torus.hpp"
 #include "via/agent.hpp"
@@ -39,6 +40,16 @@ using sim::Task;
 
 constexpr topo::Dir kPlusX{0, +1};
 constexpr topo::Dir kMinusX{0, -1};
+
+// Honour MESHMP_TRACE so CI can capture the degraded-plane campaign's
+// suspicion, mask and re-route timeline as a Perfetto artifact.
+class TraceEnv : public ::testing::Environment {
+ public:
+  void SetUp() override { obs::trace_init_from_env(); }
+  void TearDown() override { obs::trace_flush_env(); }
+};
+[[maybe_unused]] const auto* const kTraceEnv =
+    ::testing::AddGlobalTestEnvironment(new TraceEnv);
 
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ULL;

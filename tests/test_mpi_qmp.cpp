@@ -13,6 +13,7 @@
 #include "mp/endpoint.hpp"
 #include "mpi/mpi.hpp"
 #include "qmp/qmp.hpp"
+#include "topo/spanning_tree.hpp"
 
 namespace {
 
@@ -366,8 +367,8 @@ TEST(BcastTree, ParentChildRelationConsistent) {
   for (topo::Rank root : {0, 100, 255}) {
     int edges = 0;
     for (topo::Rank me = 0; me < t.size(); ++me) {
-      for (topo::Rank kid : coll::bcast_children(t, root, me)) {
-        auto p = coll::bcast_parent(t, root, kid);
+      for (topo::Rank kid : topo::bcast_children(t, root, me)) {
+        auto p = topo::bcast_parent(t, root, kid);
         ASSERT_TRUE(p);
         EXPECT_EQ(*p, me) << "root " << root << " me " << me << " kid "
                           << kid;
@@ -386,7 +387,7 @@ TEST(BcastTree, DepthMatchesPaperStepCount) {
   for (topo::Rank me = 0; me < t.size(); ++me) {
     int d = 0;
     topo::Rank cur = me;
-    while (auto p = coll::bcast_parent(t, 0, cur)) {
+    while (auto p = topo::bcast_parent(t, 0, cur)) {
       cur = *p;
       ++d;
     }

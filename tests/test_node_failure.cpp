@@ -42,7 +42,7 @@ using sim::Task;
 
 constexpr topo::Dir kPlusX{0, +1};
 
-// Honour MESHMP_TRACE (tracing builds only) so CI can capture the recovery
+// Honour MESHMP_TRACE so CI can capture the recovery
 // timeline of the crash/rejoin campaign as a Perfetto artifact.
 class TraceEnv : public ::testing::Environment {
  public:

@@ -1,9 +1,9 @@
 // Observability layer tests: counters (sorted flat map), log-bucketed
 // histograms (percentile math), the metrics registry (group aggregation,
-// retirement, interned histograms), and — when the tracer is compiled in —
-// the Perfetto trace_event export schema, ring-buffer semantics, span
-// coverage, and the contract that tracing does not perturb the model
-// (identical determinism fingerprints tracing on vs off).
+// retirement, interned histograms), the tracer's Perfetto trace_event export
+// schema, ring-buffer semantics and span coverage, and the contract that
+// tracing does not perturb the model (identical determinism fingerprints
+// tracing on vs off).
 
 #include <gtest/gtest.h>
 
@@ -219,9 +219,7 @@ TEST(ObsCounters, SimCountersIsTheObsSortedMap) {
   static_assert(std::is_same_v<sim::Counters, obs::Counters>);
 }
 
-// --- Tracer (compiled-in builds only) --------------------------------------
-
-#if MESHMP_OBS_TRACING
+// --- Tracer ----------------------------------------------------------------
 
 class ObsTrace : public ::testing::Test {
  protected:
@@ -353,14 +351,6 @@ TEST_F(ObsTrace, SpanCoverageUnionsOverlapsAndClips) {
   EXPECT_DOUBLE_EQ(obs::span_coverage(evs, 0, 500, 500), 0.0);  // empty window
 }
 
-#else  // !MESHMP_OBS_TRACING
-
-TEST(ObsTrace, SkippedWhenTracerCompiledOut) {
-  GTEST_SKIP() << "tracer compiled out; configure with -DMESHMP_TRACING=ON";
-}
-
-#endif  // MESHMP_OBS_TRACING
-
 // --- tracing must not perturb the model ------------------------------------
 
 std::vector<std::byte> pattern(std::size_t n) {
@@ -436,14 +426,10 @@ PingPongRun via_pingpong_run(int rounds, std::int64_t size) {
 TEST(ObsDeterminism, TracingOnAndOffProduceIdenticalFingerprints) {
   obs::Tracer::instance().disable();
   const PingPongRun off = via_pingpong_run(6, 4096);
-#if MESHMP_OBS_TRACING
   obs::Tracer::instance().enable();
   const PingPongRun on = via_pingpong_run(6, 4096);
   obs::Tracer::instance().disable();
   EXPECT_FALSE(obs::Tracer::instance().events().empty());
-#else
-  const PingPongRun on = via_pingpong_run(6, 4096);
-#endif
   EXPECT_EQ(off.fp, on.fp) << "tracing perturbed the model:\n  off: "
                            << chk::describe(off.fp)
                            << "\n  on:  " << chk::describe(on.fp);
@@ -452,8 +438,6 @@ TEST(ObsDeterminism, TracingOnAndOffProduceIdenticalFingerprints) {
   EXPECT_GT(off.fp.executed, 0u);
   EXPECT_NE(off.fp.result_hash, 0u);
 }
-
-#if MESHMP_OBS_TRACING
 
 // Acceptance criterion for "the trace explains the run": on the measured
 // node of a VIA ping-pong, the union of spans (sends, NIC pipeline, blocked
@@ -468,7 +452,5 @@ TEST(ObsDeterminism, PingPongSpansCoverMeasuredInterval) {
   EXPECT_GE(cov, 0.95) << "trace spans cover only " << cov * 100
                        << "% of the measured interval on node 0";
 }
-
-#endif  // MESHMP_OBS_TRACING
 
 }  // namespace

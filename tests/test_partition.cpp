@@ -47,7 +47,7 @@ using sim::Task;
 
 constexpr topo::Dir kPlusX{0, +1};
 
-// Honour MESHMP_TRACE (tracing builds only) so CI can capture the partition
+// Honour MESHMP_TRACE so CI can capture the partition
 // and heal timeline of the campaign as a Perfetto artifact.
 class TraceEnv : public ::testing::Environment {
  public:
