@@ -16,9 +16,8 @@
 // Slices are immutable views, so a frame forwarded over many hops, queued
 // for retransmit, and reassembled at the receiver all alias one storage
 // block. Wire corruption goes through Slice::corrupted(), which produces a
-// detached copy-on-write slice: the original (e.g. a sender's retransmit
-// queue entry) is never altered, and the detached copy carries no CRC memo,
-// so Frame::checksum_ok still genuinely detects the flip.
+// detached copy-on-write slice with one byte really flipped: the original
+// (e.g. a sender's retransmit queue entry) is never altered.
 //
 // Storage comes from the allocator and is freed when its last Buffer or
 // Slice dies. The pool keeps no free lists (DESIGN.md §8 has the measured
@@ -35,10 +34,6 @@
 
 namespace meshmp::buf {
 
-/// CRC-32 (IEEE 802.3 polynomial, bit-reflected) over a byte range.
-/// Lives here so Slice can memoize it.
-std::uint32_t crc32(std::span<const std::byte> data);
-
 class Pool;
 class Buffer;
 
@@ -52,8 +47,6 @@ struct Ctrl {
 
 /// Immutable offset/length view into shared storage. Copying a Slice bumps
 /// a refcount; the storage is freed when the last view dies.
-/// Carries a memoized CRC so per-hop checksum verification of an unchanged
-/// payload costs O(1).
 class Slice {
  public:
   Slice() noexcept = default;
@@ -80,17 +73,14 @@ class Slice {
   /// Aliasing sub-view; shares (and pins) the same storage block.
   [[nodiscard]] Slice subslice(std::size_t off, std::size_t len) const;
 
-  /// Detached mutated copy with byte `index` XOR-ed by `mask`. The copy has
-  /// no CRC memo, so a stamped checksum genuinely mismatches afterwards.
+  /// Detached mutated copy with byte `index` XOR-ed by `mask`; this view and
+  /// every alias of its storage keep the original bytes.
   [[nodiscard]] Slice corrupted(std::size_t index, std::byte mask) const;
 
   /// Copies the view out into a plain vector (user-boundary materialization).
   [[nodiscard]] std::vector<std::byte> to_vector() const {
     return {begin(), end()};
   }
-
-  /// Memoized CRC-32 of the view (0 for an empty view).
-  [[nodiscard]] std::uint32_t crc() const;
 
  private:
   friend class Pool;
@@ -101,10 +91,6 @@ class Slice {
   detail::Ctrl* ctrl_ = nullptr;
   std::size_t off_ = 0;
   std::size_t len_ = 0;
-  // CRC memo: copied along with the view, invalidated only by detachment
-  // (corrupted()), which is the sole way the bytes a view sees can change.
-  mutable std::uint32_t crc_ = 0;
-  mutable bool crc_known_ = false;
 };
 
 /// Mutable, uniquely owned scratch buffer — used to gather fragments

@@ -130,9 +130,6 @@ class ClusterLifecycle {
   [[nodiscard]] QuorumSide side(topo::Rank r) const {
     return side_.at(idx_(r));
   }
-  [[nodiscard]] bool is_minority(topo::Rank r) const {
-    return side(r) == QuorumSide::kMinority;
-  }
   /// Partition/heal bookkeeping counters (also attached to the obs registry
   /// under "cluster.partition").
   [[nodiscard]] const obs::Counters& partition_counters() const noexcept {

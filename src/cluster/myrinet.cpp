@@ -77,7 +77,6 @@ Task<> GmPort::send(int dst, int tag, std::vector<std::byte> data) {
     net::Frame f;
     f.src = rank_;
     f.dst = dst;
-    f.proto = 2;
     f.wire_bytes = std::max<std::int64_t>(len, 0) + 16;  // GM header
     if (len > 0) {
       f.payload = whole.subslice(static_cast<std::size_t>(off),
@@ -90,7 +89,6 @@ Task<> GmPort::send(int dst, int tag, std::vector<std::byte> data) {
     h.nfrags = nfrags;
     h.msg_bytes = static_cast<std::uint64_t>(total);
     f.meta = h;
-    f.stamp_checksum();
     to_switch_.send(std::move(f));
   }
   counters_.inc("tx_messages");

@@ -15,8 +15,8 @@
 #include "hw/params.hpp"
 #include "net/crossbar.hpp"
 #include "net/link.hpp"
+#include "obs/metrics.hpp"
 #include "sim/engine.hpp"
-#include "sim/stats.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
 
@@ -50,7 +50,7 @@ class GmPort {
   /// Receive entry driven by the switch egress pipe.
   void deliver(net::Frame f);
 
-  [[nodiscard]] const sim::Counters& counters() const noexcept {
+  [[nodiscard]] const obs::Counters& counters() const noexcept {
     return counters_;
   }
 
@@ -82,7 +82,7 @@ class GmPort {
   std::vector<Partial> partial_;
   std::deque<std::shared_ptr<Posted>> posted_;
   std::deque<GmMessage> unexpected_;
-  sim::Counters counters_;
+  obs::Counters counters_;
 };
 
 struct MyrinetConfig {

@@ -20,7 +20,6 @@ ClusterReport make_report(GigeMeshCluster& cluster) {
       r.tx_frames += c.get("tx_frames");
       r.rx_frames += c.get("rx_frames");
       r.checksum_drops += c.get("rx_checksum_drop");
-      r.corrupt_discards += c.get("rx_checksum_drop");
       r.ring_drops += c.get("rx_ring_full") + c.get("tx_ring_full");
       r.carrier_drops +=
           c.get("carrier_dropped") + c.get("carrier_rx_dropped");

@@ -21,12 +21,11 @@ struct ClusterReport {
   std::int64_t napi_polls = 0;
   std::int64_t tx_frames = 0;
   std::int64_t rx_frames = 0;
-  std::int64_t checksum_drops = 0;
+  std::int64_t checksum_drops = 0;  ///< wire-corrupted frames dropped
   std::int64_t ring_drops = 0;
   std::int64_t forwarded_frames = 0;
   std::int64_t retransmits = 0;
   std::int64_t duplicate_discards = 0;  ///< out-of-order/dup frames dropped
-  std::int64_t corrupt_discards = 0;    ///< wire-corrupted frames CRC-dropped
   std::int64_t rerouted_frames = 0;     ///< frames sent off the default hop
   std::int64_t carrier_drops = 0;       ///< frames lost to a dead cable
   std::int64_t unreachable_drops = 0;   ///< frames with no usable egress

@@ -61,25 +61,6 @@ ReduceOp max_op() {
       1.0 / sizeof(T)};
 }
 
-template <typename T>
-ReduceOp min_op() {
-  return ReduceOp{
-      [](std::span<std::byte> acc, std::span<const std::byte> in) {
-        detail::combine_typed<T>(acc, in,
-                                 [](T a, T b) { return a < b ? a : b; });
-      },
-      1.0 / sizeof(T)};
-}
-
-template <typename T>
-ReduceOp prod_op() {
-  return ReduceOp{
-      [](std::span<std::byte> acc, std::span<const std::byte> in) {
-        detail::combine_typed<T>(acc, in, [](T a, T b) { return a * b; });
-      },
-      1.0 / sizeof(T)};
-}
-
 /// The paper's barrier: global combining with a null reduction.
 inline ReduceOp null_op() {
   return ReduceOp{[](std::span<std::byte>, std::span<const std::byte>) {},

@@ -18,7 +18,6 @@
 #include "chk/flat_map.hpp"
 #include "cluster/gige_mesh.hpp"
 #include "obs/metrics.hpp"
-#include "sim/stats.hpp"
 #include "sim/time.hpp"
 #include "topo/torus.hpp"
 
@@ -98,7 +97,8 @@ class Schedule {
     add({FaultEvent::Kind::kLossStart, at, node, dir, prob});
     return add({FaultEvent::Kind::kLossStop, at + dur, node, dir, 0});
   }
-  /// Payload corruption (caught by the receive-side CRC) during [at, at+dur).
+  /// Payload corruption (dropped by the receiving adapter's FCS check)
+  /// during [at, at+dur).
   Schedule& corrupt_burst(sim::Time at, sim::Duration dur, topo::Rank node,
                           topo::Dir dir, double prob) {
     add({FaultEvent::Kind::kCorruptStart, at, node, dir, prob});
@@ -215,7 +215,7 @@ class Injector {
   Injector(const Injector&) = delete;
   Injector& operator=(const Injector&) = delete;
 
-  [[nodiscard]] const sim::Counters& counters() const noexcept {
+  [[nodiscard]] const obs::Counters& counters() const noexcept {
     return counters_;
   }
 
@@ -253,10 +253,10 @@ class Injector {
   std::vector<std::vector<std::pair<topo::Rank, topo::Dir>>> partition_links_;
   // Cables currently cut by partitions, restored (and cleared) by kHeal.
   std::vector<std::pair<topo::Rank, topo::Dir>> cut_links_;
-  sim::Counters counters_;
+  obs::Counters counters_;
   // Gray-failure window counters, exported as flt.gray.* (zero — and thus
   // absent from snapshots — unless a schedule actually arms gray faults).
-  sim::Counters gray_counters_;
+  obs::Counters gray_counters_;
   obs::Registry::Registration gray_reg_;
 };
 

@@ -113,7 +113,6 @@ bool Nic::post_tx(net::Frame frame) {
     return false;
   }
   ++tx_queued_;
-  frame.stamp_checksum();  // hardware checksum offload: free for the host
   tx_ring_.push(std::move(frame));
   return true;
 }
@@ -248,7 +247,7 @@ void Nic::receive(net::Frame f) {
     counters_.inc("carrier_rx_dropped");
     return;
   }
-  if (!f.payload.empty() && !f.checksum_ok()) {
+  if (f.fcs_error) {
     counters_.inc("rx_checksum_drop");
     MESHMP_TRACE_INSTANT(cpu_.engine(), obs::Cat::kNic, node_,
                          "rx_checksum_drop");

@@ -10,8 +10,8 @@
 // Receive: bus DMA into a host ring buffer -> interrupt coalescing (the
 // driver's "receive interrupt delay") -> ISR runs on the host CPU at
 // interrupt priority and hands each frame to the attached protocol driver.
-// Hardware checksum verification (the Pro/1000MT's, paper sec. 4) discards
-// corrupted frames before the host ever sees them.
+// Hardware FCS verification (the Pro/1000MT's, paper sec. 4) discards
+// frames the wire corrupted before the host ever sees them.
 
 #include <deque>
 #include <functional>
@@ -26,7 +26,6 @@
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
-#include "sim/stats.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
 
@@ -121,7 +120,6 @@ class Nic {
   /// into a healthy receive path. Fault schedules toggle this on one cable
   /// end only; it composes independently with carrier and power state.
   void set_tx_severed(bool severed) { tx_severed_ = severed; }
-  [[nodiscard]] bool tx_severed() const noexcept { return tx_severed_; }
 
   /// Whole-node power failure: carrier drops, every queued descriptor and
   /// FIFO/qdisc frame is discarded (in-flight DMA data vanishes with the
@@ -137,7 +135,7 @@ class Nic {
   [[nodiscard]] int tx_free() const noexcept {
     return params_.tx_descriptors - tx_queued_;
   }
-  [[nodiscard]] const sim::Counters& counters() const noexcept {
+  [[nodiscard]] const obs::Counters& counters() const noexcept {
     return counters_;
   }
   [[nodiscard]] const NicParams& params() const noexcept { return params_; }
@@ -191,7 +189,7 @@ class Nic {
   bool powered_ = true;
   sim::Signal stall_cleared_;
 
-  sim::Counters counters_;
+  obs::Counters counters_;
   chk::Audit::Registration audit_reg_;
   obs::Registry::Registration metrics_reg_;
   obs::Histogram& rx_batch_hist_;  ///< frames drained per ISR/NAPI pass

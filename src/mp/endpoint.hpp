@@ -32,7 +32,6 @@
 #include "mp/wire.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/stats.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
 #include "via/agent.hpp"
@@ -119,12 +118,7 @@ class Endpoint {
   /// with their original error.
   void reset_peer(int dst);
 
-  /// Number of unexpected (arrived but unmatched) messages — diagnostics.
-  [[nodiscard]] std::size_t unexpected_count() const noexcept {
-    return unexpected_.size();
-  }
-
-  [[nodiscard]] const sim::Counters& counters() const noexcept {
+  [[nodiscard]] const obs::Counters& counters() const noexcept {
     return counters_;
   }
 
@@ -240,7 +234,7 @@ class Endpoint {
   chk::FlatMap<std::uint32_t, std::shared_ptr<PendingRndvSend>> pending_rndv_;
   chk::FlatMap<std::uint64_t, RndvRecv> rndv_recv_;
 
-  sim::Counters counters_;
+  obs::Counters counters_;
   chk::Audit::Registration audit_reg_;
   obs::Registry::Registration metrics_reg_;
   obs::Histogram& eager_bytes_hist_;  ///< eager-path send sizes

@@ -15,8 +15,6 @@
 #include <any>
 #include <cstddef>
 #include <cstdint>
-#include <span>
-#include <vector>
 
 #include "buf/pool.hpp"
 #include "sim/inline_fn.hpp"
@@ -55,23 +53,23 @@ inline constexpr std::size_t kMetaBlockBytes = 96;
 /// plus detours around failed links, small enough to kill routing loops fast.
 inline constexpr std::uint8_t kDefaultTtl = 32;
 
-// Field order is packed densest-first so the header occupies bytes [0, 24)
-// with a single byte of tail padding: every hot-path hop (TTL check, proto
-// demux, wire-time computation) touches one cache line.
+// Field order is packed densest-first so the header occupies bytes [0, 18)
+// of a 24-byte block, and the whole frame is one cache line: every hot-path
+// hop (TTL check, FCS verdict, wire-time computation) touches one line.
 struct Frame {
   NodeId src = -1;  ///< originating node (not the last forwarder)
   NodeId dst = -1;  ///< final destination node
   /// Modelled frame size in bytes including protocol headers (the link adds
   /// Ethernet preamble/header/FCS/IFG on top of this).
   std::int64_t wire_bytes = 0;
-  /// CRC of `payload` computed at transmit time (hardware checksum model).
-  std::uint32_t checksum = 0;
-  /// Protocol demultiplex key on the receiving node (VIA kernel agent, TCP
-  /// stack, ...). Values are assigned by the cluster builder.
-  std::uint16_t proto = 0;
   /// Remaining forwarding hops; decremented by each kernel-level switch and
   /// dropped at zero so a transient routing loop cannot orbit forever.
   std::uint8_t ttl = kDefaultTtl;
+  /// The frame check sequence no longer matches the payload: set by the wire
+  /// stage when it corrupts the frame, and the receiving adapter drops such
+  /// frames (the Intel Pro/1000MT checks the FCS in hardware, at no host
+  /// cost).
+  bool fcs_error = false;
   /// Actual data carried (null slice for pure control frames). Immutable:
   /// wire corruption must go through corrupt_payload_byte().
   buf::Slice payload;
@@ -79,40 +77,25 @@ struct Frame {
   /// frame; only the owning protocol reads it.
   std::any meta;
 
-  /// Recomputes `checksum` from the payload (done by the NIC on transmit —
-  /// the Intel Pro/1000MT offloads this, so it costs no host CPU). The
-  /// slice memoizes its CRC, so restamping on forward costs O(1).
-  void stamp_checksum() { checksum = payload.crc(); }
-
-  /// True when payload still matches the transmit-time checksum.
-  [[nodiscard]] bool checksum_ok() const { return checksum == payload.crc(); }
-
-  /// Models a wire bit error: replaces the payload with a detached mutated
-  /// copy (the original storage — shared with retransmit queues — is never
-  /// altered, and the copy carries no CRC memo, so checksum_ok() fails).
+  /// Models a wire bit error: replaces the payload with a detached copy that
+  /// has one byte really flipped (the original storage — shared with
+  /// retransmit queues — is never altered) and marks the FCS bad.
   void corrupt_payload_byte(std::size_t index, std::byte mask) {
     payload = payload.corrupted(index, mask);
+    fcs_error = true;
   }
 };
 
 // Size pins: frames are moved through every pump and captured by value in
 // per-hop events, so growth here is a hot-path regression. 24-byte packed
-// header + 32-byte slice + 16-byte std::any.
-static_assert(sizeof(buf::Slice) == 32);
-static_assert(sizeof(Frame) == 72);
+// header + 24-byte slice + 16-byte std::any = one 64-byte cache line.
+static_assert(sizeof(buf::Slice) == 24);
+static_assert(sizeof(Frame) == 64);
 
 // The largest event capture on the hot path is [this + Frame] in the
 // link/NIC/crossbar pumps; it must fit the InlineFn budget so those events
 // never allocate. If this fires, either the Frame grew or the budget shrank
 // — both are deliberate decisions.
 static_assert(sizeof(Frame) + sizeof(void*) <= sim::kInlineFnCapacity);
-
-/// Convenience: byte-vector from any trivially copyable object sequence.
-template <typename T>
-std::vector<std::byte> to_bytes(std::span<const T> values) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  auto raw = std::as_bytes(values);
-  return {raw.begin(), raw.end()};
-}
 
 }  // namespace meshmp::net

@@ -6,9 +6,8 @@
 // obs/trace.hpp is the timeline half). Components own their counters and
 // histogram handles; the registry only aggregates:
 //
-//  * Counters is a sorted flat map — O(log n) lookup per increment (the old
-//    sim::Counters did a linear scan per inc, hot once every subsystem feeds
-//    the registry) and deterministically ordered iteration for snapshots.
+//  * Counters is a sorted flat map — O(log n) lookup per increment and
+//    deterministically ordered iteration for snapshots.
 //  * Histogram buckets values by power of two, so latencies from nanoseconds
 //    to seconds and sizes from bytes to megabytes fit in 66 fixed buckets;
 //    percentiles are interpolated within the bucket.

@@ -86,7 +86,6 @@ class Engine {
   /// (when, seq, label) into a running FNV-1a hash. Two runs of the same
   /// program must produce identical digests (chk::run_twice_and_compare).
   void enable_digest(bool on) noexcept { digest_on_ = on; }
-  [[nodiscard]] bool digest_enabled() const noexcept { return digest_on_; }
   [[nodiscard]] std::uint64_t digest() const noexcept { return digest_; }
 
  private:

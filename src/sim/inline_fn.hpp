@@ -18,11 +18,14 @@
 
 namespace meshmp::sim {
 
-/// Capture budget for one event. Sized for the largest hot-path capture,
-/// [this + net::Frame] (8 + 72 bytes) in the link/NIC/crossbar pumps; the
-/// coupling is pinned by a static_assert in net/frame.hpp. Raising this
-/// grows every queued event, so shrink captures (pointers and indices, not
-/// values) before reaching for a bigger budget.
+/// Capture budget for one event. The largest hot-path capture,
+/// [this + net::Frame] (8 + 64 bytes) in the link/NIC/crossbar pumps, must
+/// fit; a static_assert in net/frame.hpp pins that. The figure itself comes
+/// from the event layout: 88 bytes plus the ops pointer and the 32-byte
+/// EventNode header fill exactly two cache lines (pinned in
+/// sim/event_queue.hpp), so a smaller budget would save no memory. Raising
+/// this grows every queued event, so shrink captures (pointers and indices,
+/// not values) before reaching for a bigger budget.
 inline constexpr std::size_t kInlineFnCapacity = 88;
 
 /// Type-erased `void()` callable with inline-only storage. Move-only, like

@@ -229,9 +229,6 @@ class Resource {
 
   [[nodiscard]] std::int64_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::int64_t in_use() const noexcept { return in_use_; }
-  [[nodiscard]] std::size_t queue_length() const noexcept {
-    return waiters_.size();
-  }
   /// Busy time integral so far (for utilization statistics).
   [[nodiscard]] Duration busy_time() const noexcept {
     Duration d = busy_;

@@ -14,7 +14,6 @@
 
 #include "net/frame.hpp"
 #include "obs/metrics.hpp"
-#include "sim/stats.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
 
@@ -45,7 +44,7 @@ class TcpSocket {
   /// Reads exactly n bytes.
   sim::Task<std::vector<std::byte>> recv_exact(std::int64_t n);
 
-  [[nodiscard]] const sim::Counters& counters() const noexcept {
+  [[nodiscard]] const obs::Counters& counters() const noexcept {
     return counters_;
   }
 
@@ -79,7 +78,7 @@ class TcpSocket {
   std::size_t sockbuf_head_ = 0;
   sim::Signal rx_ready_;
 
-  sim::Counters counters_;
+  obs::Counters counters_;
   obs::Registry::Registration metrics_reg_;
   std::int32_t trk_ = -1;  ///< per-socket trace track
 };

@@ -63,7 +63,6 @@ net::Frame TcpStack::make_frame(net::NodeId dst, const TcpHeader& h,
   net::Frame f;
   f.src = me_;
   f.dst = dst;
-  f.proto = 1;
   f.wire_bytes =
       static_cast<std::int64_t>(payload.size()) + params_.header_bytes;
   f.payload = std::move(payload);

@@ -15,7 +15,6 @@
 #include "hw/node.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/stats.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
 #include "tcpstack/params.hpp"
@@ -58,7 +57,7 @@ class TcpStack final : public hw::NicDriver {
 
   sim::Task<> handle_rx(net::Frame frame, hw::IsrContext& ctx) override;
 
-  [[nodiscard]] const sim::Counters& counters() const noexcept {
+  [[nodiscard]] const obs::Counters& counters() const noexcept {
     return counters_;
   }
 
@@ -93,7 +92,7 @@ class TcpStack final : public hw::NicDriver {
   chk::FlatMap<std::uint16_t, std::unique_ptr<sim::Queue<TcpSocket*>>>
       accept_queues_;
 
-  sim::Counters counters_;
+  obs::Counters counters_;
   obs::Registry::Registration metrics_reg_;
   obs::Histogram& rx_seg_bytes_hist_;  ///< in-order data segment payloads
   std::int32_t trk_rx_ = -1;           ///< trace track for the rx/ISR side

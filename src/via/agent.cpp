@@ -171,7 +171,6 @@ net::Frame KernelAgent::make_frame(net::NodeId dst, const ViaHeader& h,
   net::Frame f;
   f.src = me_;
   f.dst = dst;
-  f.proto = 0;
   f.wire_bytes =
       static_cast<std::int64_t>(payload.size()) + params_.header_bytes;
   f.payload = std::move(payload);

@@ -21,7 +21,6 @@
 #include "hw/node.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/stats.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
 #include "topo/spanning_tree.hpp"
@@ -93,12 +92,6 @@ class KernelAgent final : public hw::NicDriver {
   /// one-directional cable break) are treated like failed links for egress —
   /// detours allowed — without ever counting as a carrier loss.
   void set_quality_masks(topo::DirMask degraded, topo::DirMask black);
-  [[nodiscard]] topo::DirMask degraded_dirs() const noexcept {
-    return degraded_dirs_;
-  }
-  [[nodiscard]] topo::DirMask black_dirs() const noexcept {
-    return black_dirs_;
-  }
 
   // -- node-failure lifecycle --------------------------------------------
   /// Whole-node crash: every VI fails with kUnreachable (waking local
@@ -158,9 +151,6 @@ class KernelAgent final : public hw::NicDriver {
   /// hop whose local link is itself down falls back to the mask-aware path.
   void set_route_table(std::vector<std::int8_t> table);
   void clear_route_table();
-  [[nodiscard]] bool has_route_table() const noexcept {
-    return !route_table_.empty();
-  }
 
   /// Handler for lifecycle control frames (kHeartbeat/kMembership) addressed
   /// to this node. Runs at ISR level; implementations must not block.
@@ -190,7 +180,7 @@ class KernelAgent final : public hw::NicDriver {
     retransmit_observer_ = std::move(fn);
   }
 
-  [[nodiscard]] const sim::Counters& counters() const noexcept {
+  [[nodiscard]] const obs::Counters& counters() const noexcept {
     return counters_;
   }
 
@@ -299,7 +289,7 @@ class KernelAgent final : public hw::NicDriver {
   chk::FlatMap<std::uint64_t, AcceptedDial> accepted_vis_;
   chk::FlatMap<std::uint64_t, KernelColl> kcolls_;  // (root, seq)
 
-  sim::Counters counters_;
+  obs::Counters counters_;
   chk::Audit::Registration audit_reg_;
   obs::Registry::Registration metrics_reg_;
   obs::Histogram& ack_rtt_hist_;  ///< ns from oldest-unacked send to its ack

@@ -15,8 +15,8 @@
 
 #include "chk/flat_map.hpp"
 #include "net/frame.hpp"
+#include "obs/metrics.hpp"
 #include "sim/rng.hpp"
-#include "sim/stats.hpp"
 
 namespace meshmp::via {
 
@@ -87,8 +87,7 @@ class MemoryRegistry {
     return true;
   }
 
-  [[nodiscard]] const sim::Counters& counters() const { return counters_; }
-  [[nodiscard]] std::size_t active_regions() const { return regions_.size(); }
+  [[nodiscard]] const obs::Counters& counters() const { return counters_; }
 
  private:
   struct Region {
@@ -103,7 +102,7 @@ class MemoryRegistry {
   // Region moves on insert/erase keep their storage buffers in place, so
   // spans handed out by region() stay valid.
   chk::FlatMap<std::uint32_t, Region> regions_;
-  sim::Counters counters_;
+  obs::Counters counters_;
 };
 
 }  // namespace meshmp::via

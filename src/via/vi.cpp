@@ -113,8 +113,4 @@ sim::Task<RecvCompletion> Vi::recv_completion() {
   co_return c;
 }
 
-std::optional<RecvCompletion> Vi::poll_completion() {
-  return completions_.try_pop();
-}
-
 }  // namespace meshmp::via

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "buf/pool.hpp"
@@ -19,7 +18,6 @@
 #include "net/frame.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/stats.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
 #include "via/memory.hpp"
@@ -94,9 +92,6 @@ class Vi {
   /// completion-processing cost.
   sim::Task<RecvCompletion> recv_completion();
 
-  /// Non-blocking completion poll (no CPU cost charged).
-  std::optional<RecvCompletion> poll_completion();
-
   /// True once reliable delivery gave up (retries exhausted).
   [[nodiscard]] bool failed() const noexcept { return failed_; }
   /// The error that failed the VI (kNone while healthy).
@@ -109,7 +104,7 @@ class Vi {
     on_error_ = std::move(fn);
   }
 
-  [[nodiscard]] const sim::Counters& counters() const noexcept {
+  [[nodiscard]] const obs::Counters& counters() const noexcept {
     return counters_;
   }
 
@@ -172,7 +167,7 @@ class Vi {
   // post order even when several coroutines send on it concurrently.
   sim::Resource send_lock_;
 
-  sim::Counters counters_;
+  obs::Counters counters_;
   chk::Audit::Registration audit_reg_;
   obs::Registry::Registration metrics_reg_;
   obs::Histogram& msg_bytes_hist_;  ///< message sizes entering send()

@@ -1,9 +1,9 @@
 // Tests for the zero-copy data path: buf::Pool / Buffer / Slice semantics
-// (refcounted aliasing, copy-on-write corruption, CRC memoization, one
-// allocation per get/stage), the charge_copy accounting seam, the "buf.pool"
-// quiesce audit, and an end-to-end payload-integrity property test that
-// pushes random payloads through routed forwarding, a corruption burst
-// (CRC discard + retransmit) and a mid-run link flap.
+// (refcounted aliasing, copy-on-write corruption, one allocation per
+// get/stage), the charge_copy accounting seam, the "buf.pool" quiesce audit,
+// and an end-to-end payload-integrity property test that pushes random
+// payloads through routed forwarding, a corruption burst (FCS drop +
+// retransmit) and a mid-run link flap.
 
 #include <gtest/gtest.h>
 
@@ -96,25 +96,20 @@ TEST(BufSlice, SubsliceAliasesAndPinsStorage) {
   EXPECT_EQ(pool.outstanding(), base);
 }
 
-TEST(BufSlice, CrcIsMemoizedAndSurvivesCopies) {
-  buf::Slice s = buf::Pool::instance().adopt(pattern(512, 9));
-  const auto ref = buf::crc32(s.span());
-  EXPECT_EQ(s.crc(), ref);
-  buf::Slice copy = s;                       // memo travels with the view
-  EXPECT_EQ(copy.crc(), ref);
-  EXPECT_EQ(s.subslice(0, s.size()).crc(), ref);
-  EXPECT_NE(s.subslice(1, 64).crc(), s.subslice(2, 64).crc());
-}
-
 TEST(BufSlice, CorruptedDetachesAndBreaksChecksum) {
-  buf::Slice orig = buf::Pool::instance().adopt(pattern(256, 2));
-  const auto ref = orig.crc();
+  const auto ref = pattern(256, 2);
+  buf::Slice orig = buf::Pool::instance().adopt(ref);
+  buf::Slice alias = orig;
   buf::Slice bad = orig.corrupted(10, std::byte{0x10});
-  // Copy-on-write: the original (e.g. a retransmit-queue entry) is intact.
-  EXPECT_EQ(orig.crc(), ref);
-  EXPECT_EQ(orig[10], pattern(256, 2)[10]);
-  EXPECT_EQ(bad[10], pattern(256, 2)[10] ^ std::byte{0x10});
-  EXPECT_NE(bad.crc(), ref);  // no stale memo on the detached copy
+  // Copy-on-write: the original (e.g. a retransmit-queue entry) and every
+  // alias of its storage keep the sent bytes.
+  EXPECT_NE(bad.data(), orig.data());
+  EXPECT_EQ(orig.to_vector(), ref);
+  EXPECT_EQ(alias.to_vector(), ref);
+  // The detached copy differs in exactly the flipped byte.
+  std::vector<std::byte> expect = ref;
+  expect[10] ^= std::byte{0x10};
+  EXPECT_EQ(bad.to_vector(), expect);
 }
 
 TEST(BufBuffer, ReleaseStealsStorageOutOfPoolAccounting) {
@@ -154,13 +149,15 @@ TEST(BufPool, GetAndStageAlwaysAllocate) {
 TEST(BufFrame, ForwardedFrameReverifiesInConstantState) {
   net::Frame f;
   f.payload = buf::Pool::instance().adopt(pattern(1500, 8));
-  f.stamp_checksum();
   net::Frame hop = f;  // forwarding copies the frame, aliases the payload
   EXPECT_EQ(hop.payload.data(), f.payload.data());
-  EXPECT_TRUE(hop.checksum_ok());
+  EXPECT_FALSE(hop.fcs_error);
   hop.corrupt_payload_byte(3, std::byte{0x01});
-  EXPECT_FALSE(hop.checksum_ok());
-  EXPECT_TRUE(f.checksum_ok());  // the original frame is untouched
+  EXPECT_TRUE(hop.fcs_error);
+  EXPECT_EQ(hop.payload[3], pattern(1500, 8)[3] ^ std::byte{0x01});
+  // The original frame is untouched: clean FCS, sent bytes.
+  EXPECT_FALSE(f.fcs_error);
+  EXPECT_EQ(f.payload.to_vector(), pattern(1500, 8));
 }
 
 // --- charge_copy accounting --------------------------------------------------
@@ -248,7 +245,7 @@ struct Outcome {
 
 /// Random-size, random-content payloads from rank 0 to rank (1,1) on a 4x4
 /// torus: every frame is forwarded through an intermediate rank, a burst
-/// corrupts the first-hop cable (CRC discard + go-back-N), and mid-run the
+/// corrupts the first-hop cable (FCS drop + go-back-N), and mid-run the
 /// same cable flaps so traffic reroutes. Every payload must arrive intact.
 chk::Fingerprint integrity_scenario(Outcome& out) {
   GigeMeshConfig cfg;
@@ -317,9 +314,9 @@ TEST(BufIntegrity, RandomPayloadsSurviveForwardingCorruptionAndFlap) {
   auto r =
       chk::run_twice_and_compare([&out] { return integrity_scenario(out); });
   EXPECT_TRUE(r.identical) << r.divergence;
-  // The chaos actually happened: frames were CRC-discarded and resent, and
+  // The chaos actually happened: frames were FCS-dropped and resent, and
   // the flap forced reroutes — yet every byte arrived intact.
-  EXPECT_GT(out.report.corrupt_discards, 0);
+  EXPECT_GT(out.report.checksum_drops, 0);
   EXPECT_GT(out.report.retransmits, 0);
   EXPECT_EQ(out.report.vi_failures, 0);
 }

@@ -72,7 +72,7 @@ TEST(FltInjector, RejectsEventsOnMissingLinks) {
   EXPECT_THROW(flt::Injector(c, bad), std::invalid_argument);
 }
 
-// --- corruption burst: CRC discard + Reliable Delivery recovery -------------
+// --- corruption burst: FCS drop + Reliable Delivery recovery ----------------
 
 struct Conn {
   Vi* a = nullptr;
@@ -134,8 +134,8 @@ TEST(FltCorrupt, BurstIsCrcDiscardedAndRetransmitted) {
   EXPECT_EQ(got, data);  // end-to-end payload integrity
   EXPECT_EQ(inj.counters().get("corrupt_bursts"), 1);
   auto report = cluster::make_report(c);
-  EXPECT_GT(report.corrupt_discards, 0);  // CRC caught the mangled frames
-  EXPECT_GT(report.retransmits, 0);       // and go-back-N resent them
+  EXPECT_GT(report.checksum_drops, 0);  // the FCS check caught the frames
+  EXPECT_GT(report.retransmits, 0);     // and go-back-N resent them
 }
 
 // --- NIC stall: frames queue behind the stalled adapter and drain ----------
@@ -392,7 +392,7 @@ Task<> chaos_node(ChaosWorld& w, mp::Endpoint& ep, qmp::Machine& m,
   EXPECT_EQ(co_await m.wait(rb), qmp::Status::kSuccess);
   EXPECT_EQ(co_await m.wait(sf), qmp::Status::kSuccess);
   EXPECT_EQ(co_await m.wait(sb), qmp::Status::kSuccess);
-  // Halo payloads arrive CRC-intact despite the flap.
+  // Halo payloads arrive intact despite the flap.
   w.hash = hash_bytes(w.hash, fwd_in.buf);
   w.hash = hash_bytes(w.hash, bwd_in.buf);
 
@@ -431,10 +431,10 @@ TEST(FltChaos, MeshCollectivesSurviveLinkFlapByteIdentical) {
       [&report] { return chaos_scenario(report); });
   EXPECT_TRUE(r.identical) << r.divergence;
   EXPECT_NE(r.first.result_hash, 0u);
-  // The campaign actually bit: corrupted frames were CRC-discarded,
+  // The campaign actually bit: corrupted frames were FCS-dropped,
   // go-back-N resent them, and at least one message was steered around the
   // dead cable — yet every payload arrived intact and nothing hung.
-  EXPECT_GT(report.corrupt_discards, 0);
+  EXPECT_GT(report.checksum_drops, 0);
   EXPECT_GT(report.retransmits, 0);
   EXPECT_GE(report.rerouted_frames, 1);
   EXPECT_EQ(report.vi_failures, 0);  // faults recovered within the budget

@@ -1,6 +1,6 @@
-// Tests for frames/checksums, the Myrinet switch-port pipe, the crossbar, the
-// CPU cost model and the GigE NIC model (rings, DMA/wire pipelining,
-// coalescing, checksum drops).
+// Tests for frames and wire corruption, the Myrinet switch-port pipe, the
+// crossbar, the CPU cost model and the GigE NIC model (rings, DMA/wire
+// pipelining, coalescing, checksum drops).
 
 #include <gtest/gtest.h>
 
@@ -30,25 +30,17 @@ std::vector<std::byte> bytes_of(const char* s) {
   return v;
 }
 
-// --- frame / crc -----------------------------------------------------------
-
-TEST(Crc32, KnownVector) {
-  // CRC-32("123456789") = 0xCBF43926 (classic check value).
-  auto data = bytes_of("123456789");
-  EXPECT_EQ(buf::crc32(data), 0xCBF43926u);
-}
-
-TEST(Crc32, EmptyIsZero) {
-  EXPECT_EQ(buf::crc32({}), 0x00000000u);
-}
+// --- frame ----------------------------------------------------------------
 
 TEST(Frame, ChecksumDetectsBitFlip) {
   net::Frame f;
   f.payload = buf::Pool::instance().adopt(bytes_of("hello mesh"));
-  f.stamp_checksum();
-  EXPECT_TRUE(f.checksum_ok());
+  EXPECT_FALSE(f.fcs_error);
   f.corrupt_payload_byte(3, std::byte{0x01});
-  EXPECT_FALSE(f.checksum_ok());
+  EXPECT_TRUE(f.fcs_error);
+  auto expect = bytes_of("hello mesh");
+  expect[3] ^= std::byte{0x01};
+  EXPECT_EQ(f.payload.to_vector(), expect);  // one real flipped bit
 }
 
 // --- switch-port pipe ------------------------------------------------------
@@ -191,8 +183,10 @@ TEST(Nic, DeliversFrameThroughFullPath) {
   ASSERT_TRUE(p.na->post_tx(make_frame(100)));
   p.eng.run();
   ASSERT_EQ(p.cap.frames.size(), 1u);
-  EXPECT_EQ(p.cap.frames[0].second.payload.size(), 100u);
-  EXPECT_TRUE(p.cap.frames[0].second.checksum_ok());
+  const net::Frame& got = p.cap.frames[0].second;
+  ASSERT_EQ(got.payload.size(), 100u);
+  EXPECT_FALSE(got.fcs_error);
+  for (std::byte b : got.payload) EXPECT_EQ(b, std::byte{0xab});
   // Latency must include DMA + wire + coalescing delay + isr entry.
   const auto t = p.cap.frames[0].first;
   EXPECT_GT(t, p.na->params().rx_interrupt_delay);
@@ -299,6 +293,20 @@ TEST(Nic, RxChecksumDropOnCorruptingWire) {
   p.eng.run();
   EXPECT_TRUE(p.cap.frames.empty());
   EXPECT_EQ(p.nb->counters().get("rx_checksum_drop"), 1);
+}
+
+TEST(Nic, DuplicatedCorruptFrameIsDroppedTwice) {
+  // The wire corrupts the frame, then duplicates it: both copies carry the
+  // bad FCS, so the receiving adapter drops each one.
+  net::LinkParams lp = hw::gige_link_params();
+  lp.corrupt_prob = 1.0;
+  lp.dup_prob = 1.0;
+  NicPair p(hw::NicParams{}, lp);
+  ASSERT_TRUE(p.na->post_tx(make_frame(500)));
+  p.eng.run();
+  EXPECT_EQ(p.na->counters().get("wire_duplicated"), 1);
+  EXPECT_EQ(p.nb->counters().get("rx_checksum_drop"), 2);
+  EXPECT_TRUE(p.cap.frames.empty());
 }
 
 TEST(Nic, RxRingOverflowDrops) {

@@ -211,14 +211,6 @@ TEST(ObsRegistry, SnapshotJsonHasCountersAndHistograms) {
   EXPECT_NE(json.find("\"p99\""), std::string::npos);
 }
 
-// --- sim::Counters alias ---------------------------------------------------
-
-TEST(ObsCounters, SimCountersIsTheObsSortedMap) {
-  // The ad-hoc sim::Counters plumbing is absorbed by the obs layer; the
-  // alias keeps every component and test source-compatible.
-  static_assert(std::is_same_v<sim::Counters, obs::Counters>);
-}
-
 // --- Tracer ----------------------------------------------------------------
 
 class ObsTrace : public ::testing::Test {

@@ -8,9 +8,9 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
-#include "sim/stats.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
@@ -456,18 +456,8 @@ TEST(Rng, BernoulliRate) {
   EXPECT_NEAR(static_cast<double>(hits) / trials, 0.25, 0.02);
 }
 
-TEST(Stat, Moments) {
-  Stat s;
-  for (double x : {1.0, 2.0, 3.0, 4.0}) s.add(x);
-  EXPECT_EQ(s.count(), 4u);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 4.0);
-  EXPECT_NEAR(s.stddev(), 1.2909944, 1e-6);
-}
-
 TEST(Counters, AccumulateByKey) {
-  Counters c;
+  meshmp::obs::Counters c;
   c.inc("drops");
   c.inc("drops", 2);
   c.inc("retx");
